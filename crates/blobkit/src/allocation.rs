@@ -30,17 +30,22 @@
 //! through [`AllocationPolicy`]: the paper-faithful native behaviour is
 //! [`FitPolicy::FirstFit`] — lowest first — at both granularities, and the
 //! ablation benches can swap in any other fit without touching the mechanism.
-
-use std::collections::BTreeSet;
+//!
+//! Space moves in runs, never a page at a time: allocations return page runs
+//! ([`Extent`]s in page units, coalesced, in logical order), consecutive
+//! unassigned extents join a unit in one GAM reservation, and freeing a run
+//! hands every extent it empties back to the GAM as one span.  Each of these
+//! leaves the maps, the IAM chain and the fit cursors in exactly the state
+//! the page-at-a-time rules the module describes would.
 
 use lor_alloc::{
-    AllocationPolicy, Extent, FitPicker, FitPolicy, FreeSpace, PlacementConsumer, PlacementPolicy,
-    RunIndexMap,
+    AllocationPolicy, BitmapMap, Extent, FitPicker, FitPolicy, FreeSpace, PlacementConsumer,
+    PlacementPolicy, RunIndexMap,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::error::DbError;
-use crate::page::{ExtentId, PageId, PageKind, PAGES_PER_EXTENT};
+use crate::page::{coalesce, extent_pages, ExtentId, PageId, PageKind, PAGES_PER_EXTENT};
 
 /// The fit the database's native policy applies: SQL Server reuses the lowest
 /// free page / extent first.
@@ -112,9 +117,17 @@ impl Gam {
     /// Assigns a specific extent if it is free.  Used to continue an object's
     /// layout into the physically next extent.
     pub fn assign_specific(&mut self, extent: ExtentId) -> bool {
-        let taken = self.map.reserve(Extent::new(extent.0, 1)).is_ok();
+        self.assign_run(Extent::new(extent.0, 1))
+    }
+
+    /// Assigns a run of consecutive extents (in extent units) in one
+    /// reservation if every one of them is free; assigns nothing otherwise.
+    /// The state afterwards is exactly that of assigning the extents one
+    /// [`Gam::assign_specific`] at a time in ascending order.
+    pub(crate) fn assign_run(&mut self, extents: Extent) -> bool {
+        let taken = !extents.is_empty() && self.map.reserve(extents).is_ok();
         if taken {
-            self.picker.advance(Extent::new(extent.0, 1));
+            self.picker.advance(extents);
         }
         taken
     }
@@ -137,18 +150,20 @@ impl Gam {
         Some(extent)
     }
 
-    /// Returns an extent to the free pool.
+    /// Returns a run of consecutive extents (in extent units) to the free
+    /// pool in one release.
     ///
     /// # Panics
-    /// Panics if the extent is already free (double release is an engine bug).
-    pub fn release(&mut self, extent: ExtentId) {
+    /// Panics if any of them is already free (double release is an engine
+    /// bug) or lies outside the data file.
+    pub fn release_run(&mut self, extents: Extent) {
         assert!(
-            extent.0 < self.total_extents(),
-            "extent {extent} outside the data file"
+            extents.end() <= self.total_extents(),
+            "extents {extents:?} outside the data file"
         );
         self.map
-            .release(Extent::new(extent.0, 1))
-            .unwrap_or_else(|_| panic!("extent {extent} released twice"));
+            .release(extents)
+            .unwrap_or_else(|_| panic!("extents {extents:?} released twice"));
     }
 
     /// `true` if the extent is currently unassigned.
@@ -161,8 +176,9 @@ impl Gam {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AllocationUnit {
     kind: PageKind,
-    /// Extents assigned to this unit (the IAM chain).
-    extents: BTreeSet<ExtentId>,
+    /// The IAM chain: a bitmap over the data file's extents in which an
+    /// extent is allocated exactly while it belongs to this unit.
+    extents: BitmapMap,
     /// Page-granular free-space map over the whole data file in which exactly
     /// the data-free pages of assigned extents are free; pages of unassigned
     /// extents count as allocated until the extent joins the unit.
@@ -194,7 +210,7 @@ impl AllocationUnit {
     ) -> Self {
         AllocationUnit {
             kind,
-            extents: BTreeSet::new(),
+            extents: BitmapMap::new_free(total_pages.div_ceil(PAGES_PER_EXTENT)),
             map: RunIndexMap::new_allocated(total_pages),
             // The page space overlays the GAM's extent space: aligning the
             // band boundary to whole extents keeps the two granularities in
@@ -213,7 +229,7 @@ impl AllocationUnit {
 
     /// Number of extents assigned to the unit.
     pub fn extent_count(&self) -> u64 {
-        self.extents.len() as u64
+        self.extents.allocated_clusters()
     }
 
     /// Pages holding data.
@@ -239,7 +255,8 @@ impl AllocationUnit {
         self.free_page_count() + gam.free_extent_count() * PAGES_PER_EXTENT
     }
 
-    /// Allocates `count` pages for one object streamed into the store.
+    /// Allocates `count` pages for one object streamed into the store,
+    /// returning them as coalesced page runs in logical order.
     ///
     /// Strategy (see module docs): keep extending the run that ends at the
     /// previously allocated page — taking the next free page, or assigning the
@@ -247,29 +264,24 @@ impl AllocationUnit {
     /// cannot be extended, start a new run at the policy-chosen free page in
     /// the file (natively: the lowest, first fit), assigning a fresh extent
     /// from the GAM only when the unit has no free page of its own.
-    pub fn allocate_pages(&mut self, gam: &mut Gam, count: u64) -> Result<Vec<PageId>, DbError> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        if count > self.available_pages(gam) {
+    pub fn allocate_pages(&mut self, gam: &mut Gam, count: u64) -> Result<Vec<Extent>, DbError> {
+        let available = self.available_pages(gam);
+        if count > available {
             return Err(DbError::OutOfSpace {
                 requested_pages: count,
-                free_pages: self.available_pages(gam),
+                free_pages: available,
             });
         }
-
-        let mut pages: Vec<PageId> = Vec::with_capacity(count as usize);
-        while (pages.len() as u64) < count {
-            let remaining = count - pages.len() as u64;
-            // 1. Try to continue the current run — taking the whole overlap
-            //    of the free run that begins right after the last page in one
-            //    reservation, rather than a page at a time (the result is
-            //    identical; only the free-map traffic shrinks).
-            if let Some(&last) = pages.last() {
-                let next = PageId(last.0 + 1);
-                let took = self.take_run_at(gam, next, remaining);
+        let mut runs: Vec<Extent> = Vec::new();
+        let mut remaining = count;
+        while remaining > 0 {
+            // 1. Try to continue the current run, taking the whole reachable
+            //    stretch after its last page in one reservation.
+            if let Some(last) = runs.last_mut() {
+                let took = self.take_run_at(gam, last.end(), remaining);
                 if took > 0 {
-                    pages.extend((next.0..next.0 + took).map(PageId));
+                    last.len += took;
+                    remaining -= took;
                     continue;
                 }
             }
@@ -287,15 +299,17 @@ impl AllocationUnit {
                 .pick_page()
                 .or_else(|| gam.peek_next().map(|extent| extent.first_page()))
                 .expect("available_pages() guaranteed enough space");
-            let took = self.take_run_at(gam, start, remaining);
+            let took = self.take_run_at(gam, start.0, remaining);
             debug_assert!(took > 0, "the picked free position must be takeable");
-            pages.extend((start.0..start.0 + took).map(PageId));
+            runs.push(Extent::new(start.0, took));
+            remaining -= took;
         }
-        Ok(pages)
+        Ok(runs)
     }
 
     /// Allocates `count` pages from the high end of the file: free pages in
     /// assigned extents highest-first, then the highest unassigned extents.
+    /// Returns the page runs taken, highest first.
     ///
     /// Used for the metadata table's clustered-index pages so that the small,
     /// cached metadata structures never interrupt the BLOB data laid out from
@@ -304,32 +318,33 @@ impl AllocationUnit {
         &mut self,
         gam: &mut Gam,
         count: u64,
-    ) -> Result<Vec<PageId>, DbError> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        if count > self.available_pages(gam) {
+    ) -> Result<Vec<Extent>, DbError> {
+        let available = self.available_pages(gam);
+        if count > available {
             return Err(DbError::OutOfSpace {
                 requested_pages: count,
-                free_pages: self.available_pages(gam),
+                free_pages: available,
             });
         }
-        let mut pages = Vec::with_capacity(count as usize);
-        while (pages.len() as u64) < count {
+        let mut runs = Vec::new();
+        let mut remaining = count;
+        while remaining > 0 {
             if let Some(run) = self.map.last_run() {
-                let page = PageId(run.end() - 1);
+                let take = run.len.min(remaining);
+                let taken = Extent::new(run.end() - take, take);
                 self.map
-                    .reserve(Extent::new(page.0, 1))
-                    .expect("the last run's final page is free");
-                pages.push(page);
+                    .reserve(taken)
+                    .expect("the last run's tail is free");
+                runs.push(taken);
+                remaining -= take;
                 continue;
             }
             let extent = gam
                 .assign_highest()
                 .expect("available_pages() guaranteed enough space");
-            self.adopt_extent(extent);
+            self.adopt(Extent::new(extent.0, 1));
         }
-        Ok(pages)
+        Ok(runs)
     }
 
     /// Allocates `count` pages greedily from the largest free runs (the
@@ -337,57 +352,16 @@ impl AllocationUnit {
     /// larger), minimizing the number of physical runs in the result.
     ///
     /// This is the engine compaction's best-effort mode: when no single run
-    /// can hold a whole blob ([`AllocationUnit::allocate_contiguous`] fails),
-    /// the largest-first allocation still yields far fewer runs than the
-    /// native lowest-first reuse, so an incremental compactor keeps making
-    /// progress instead of stalling until cleanup happens to coalesce a big
-    /// run.  Returns `None` — leaving all state untouched — only when the
-    /// unit plus GAM cannot supply `count` pages at all.
-    pub fn allocate_largest_runs(&mut self, gam: &mut Gam, count: u64) -> Option<Vec<PageId>> {
-        if count == 0 {
-            return Some(Vec::new());
-        }
-        if count > self.available_pages(gam) {
-            return None;
-        }
-        let mut pages: Vec<PageId> = Vec::with_capacity(count as usize);
-        while (pages.len() as u64) < count {
-            let remaining = count - pages.len() as u64;
-            let unit_run = self.map.largest();
-            let gam_run = gam.free_space().largest();
-            let unit_pages = unit_run.map_or(0, |run| run.len);
-            let gam_pages = gam_run.map_or(0, |run| run.len * PAGES_PER_EXTENT);
-            debug_assert!(
-                unit_pages > 0 || gam_pages > 0,
-                "available_pages() guaranteed enough space"
-            );
-            if unit_pages >= gam_pages {
-                let run = unit_run.expect("unit run exists when unit_pages > 0");
-                let take = run.len.min(remaining);
-                let taken = Extent::new(run.start, take);
-                self.map.reserve(taken).expect("largest unit run is free");
-                self.picker.advance(taken);
-                pages.extend((run.start..run.start + take).map(PageId));
-            } else {
-                let run = gam_run.expect("gam run exists when gam_pages > 0");
-                let extents = remaining.div_ceil(PAGES_PER_EXTENT).min(run.len);
-                for index in 0..extents {
-                    let extent = ExtentId(run.start + index);
-                    let taken = gam.assign_specific(extent);
-                    debug_assert!(taken, "extents of a free GAM run are assignable");
-                    self.adopt_extent(extent);
-                }
-                let first = ExtentId(run.start).first_page().0;
-                let take = (extents * PAGES_PER_EXTENT).min(remaining);
-                let taken = Extent::new(first, take);
-                self.map
-                    .reserve(taken)
-                    .expect("pages of freshly adopted extents are free");
-                self.picker.advance(taken);
-                pages.extend((first..first + take).map(PageId));
-            }
-        }
-        Some(pages)
+    /// can hold a whole blob, the largest-first allocation still yields far
+    /// fewer runs than the native lowest-first reuse, so an incremental
+    /// compactor keeps making progress instead of stalling until cleanup
+    /// happens to coalesce a big run.  Returns `None` — leaving all state
+    /// untouched — only when the unit plus GAM cannot supply `count` pages at
+    /// all.
+    pub fn allocate_largest_runs(&mut self, gam: &mut Gam, count: u64) -> Option<Vec<Extent>> {
+        self.allocate_greedy(gam, count, |unit, gam| {
+            (unit.map.largest(), gam.free_space().largest())
+        })
     }
 
     /// Allocates `count` pages for a **maintenance relocation** (the
@@ -412,60 +386,65 @@ impl AllocationUnit {
         gam: &mut Gam,
         count: u64,
         foreground_watermark_pages: u64,
-    ) -> Option<Vec<PageId>> {
+    ) -> Option<Vec<Extent>> {
         let placement = self.picker.placement();
         if placement.is_unrestricted() {
             return self.allocate_largest_runs(gam, count);
         }
-        if count == 0 {
-            return Some(Vec::new());
-        }
+        self.allocate_greedy(gam, count, |unit, gam| {
+            (
+                unit.maintenance_unit_candidate(placement, foreground_watermark_pages),
+                Self::maintenance_gam_candidate(gam, placement, foreground_watermark_pages),
+            )
+        })
+    }
+
+    /// The largest-first loop behind [`AllocationUnit::allocate_largest_runs`]
+    /// and [`AllocationUnit::allocate_maintenance_runs`]: repeatedly takes
+    /// the larger of the two candidate runs `candidates` offers — a free page
+    /// run of the unit, a run of unassigned GAM extents — preferring the
+    /// unit's on ties.  When both candidates run out first the allocation is
+    /// refused and undone (frees restore the GAM exactly — coalescing is
+    /// deterministic).
+    fn allocate_greedy(
+        &mut self,
+        gam: &mut Gam,
+        count: u64,
+        candidates: impl Fn(&Self, &Gam) -> (Option<Extent>, Option<Extent>),
+    ) -> Option<Vec<Extent>> {
         if count > self.available_pages(gam) {
             return None;
         }
-        let mut pages: Vec<PageId> = Vec::with_capacity(count as usize);
-        while (pages.len() as u64) < count {
-            let remaining = count - pages.len() as u64;
-            let unit_run = self.maintenance_unit_candidate(placement, foreground_watermark_pages);
-            let gam_run =
-                Self::maintenance_gam_candidate(gam, placement, foreground_watermark_pages);
+        let mut runs: Vec<Extent> = Vec::new();
+        let mut remaining = count;
+        while remaining > 0 {
+            let (unit_run, gam_run) = candidates(self, gam);
             let unit_pages = unit_run.map_or(0, |run| run.len);
             let gam_pages = gam_run.map_or(0, |run| run.len * PAGES_PER_EXTENT);
-            if unit_pages == 0 && gam_pages == 0 {
-                // The placement-eligible runs are exhausted: refuse rather
-                // than violate the placement, undoing any partial progress
-                // (frees restore the GAM exactly — coalescing is
-                // deterministic).
-                self.free_pages(gam, pages);
+            let taken = if unit_pages == 0 && gam_pages == 0 {
+                for run in runs {
+                    self.free_run(gam, run);
+                }
                 return None;
-            }
-            if unit_pages >= gam_pages {
+            } else if unit_pages >= gam_pages {
                 let run = unit_run.expect("unit run exists when unit_pages > 0");
-                let take = run.len.min(remaining);
-                let taken = Extent::new(run.start, take);
-                self.map.reserve(taken).expect("candidate unit run is free");
-                self.picker.advance(taken);
-                pages.extend((run.start..run.start + take).map(PageId));
+                Extent::new(run.start, run.len.min(remaining))
             } else {
                 let run = gam_run.expect("gam run exists when gam_pages > 0");
-                let extents = remaining.div_ceil(PAGES_PER_EXTENT).min(run.len);
-                for index in 0..extents {
-                    let extent = ExtentId(run.start + index);
-                    let taken = gam.assign_specific(extent);
-                    debug_assert!(taken, "extents of a free GAM run are assignable");
-                    self.adopt_extent(extent);
-                }
-                let first = ExtentId(run.start).first_page().0;
-                let take = (extents * PAGES_PER_EXTENT).min(remaining);
-                let taken = Extent::new(first, take);
-                self.map
-                    .reserve(taken)
-                    .expect("pages of freshly adopted extents are free");
-                self.picker.advance(taken);
-                pages.extend((first..first + take).map(PageId));
-            }
+                let extents =
+                    Extent::new(run.start, remaining.div_ceil(PAGES_PER_EXTENT).min(run.len));
+                let assigned = gam.assign_run(extents);
+                debug_assert!(assigned, "extents of a free GAM run are assignable");
+                self.adopt(extents);
+                extent_pages(extents).take(remaining).0
+            };
+            self.map.reserve(taken).expect("candidate pages are free");
+            self.picker.advance(taken);
+            runs.push(taken);
+            remaining -= taken.len;
         }
-        Some(pages)
+        coalesce(&mut runs);
+        Some(runs)
     }
 
     /// The largest placement-eligible free run inside the unit for a
@@ -514,124 +493,123 @@ impl AllocationUnit {
         self.picker.pick(&self.map, 1).map(|run| PageId(run.start))
     }
 
-    /// Registers a freshly assigned extent with the unit, marking its pages
-    /// free for data.
-    fn adopt_extent(&mut self, extent: ExtentId) {
-        self.extents.insert(extent);
+    /// Registers freshly assigned extents (in extent units) with the unit,
+    /// marking their pages free for data.
+    fn adopt(&mut self, extents: Extent) {
+        self.extents
+            .reserve(extents)
+            .expect("newly assigned extents were not in the chain");
         self.map
-            .release(Extent::new(extent.first_page().0, PAGES_PER_EXTENT))
-            .expect("pages of a newly assigned extent were not free before");
+            .release(extent_pages(extents))
+            .expect("pages of newly assigned extents were not free before");
     }
 
-    /// Takes up to `max_len` contiguous free pages starting exactly at
-    /// `page`, adopting the page's extent from the GAM first when it is
-    /// still unassigned.  Returns how many pages were taken — 0 when the
-    /// position is neither free nor adoptable.
+    /// Takes up to `max_len` contiguous free pages starting exactly at page
+    /// `page`, first adopting from the GAM the unassigned extents the take
+    /// reaches when `page`'s own extent is unassigned.  Returns how many
+    /// pages were taken — 0 when the position is neither free nor adoptable.
     ///
-    /// Taking `n` pages this way leaves the unit, GAM and picker in exactly
-    /// the state `n` single-page takes of consecutive pages would, with one
-    /// free-map update instead of `n`.
-    fn take_run_at(&mut self, gam: &mut Gam, page: PageId, max_len: u64) -> u64 {
-        if !self.map.is_free(Extent::new(page.0, 1)) {
-            let extent = page.extent();
-            if self.extents.contains(&extent) || !gam.assign_specific(extent) {
+    /// Taking `n` pages this way leaves the unit, GAM and both pickers in
+    /// exactly the state `n` single-page takes of consecutive pages would:
+    /// each adopted extent receives at least one of the taken pages, so the
+    /// page-at-a-time rule would have adopted the same extents in order.
+    fn take_run_at(&mut self, gam: &mut Gam, page: u64, max_len: u64) -> u64 {
+        if !self.map.is_free(Extent::new(page, 1)) {
+            let extent = page / PAGES_PER_EXTENT;
+            if self.owns(extent) {
                 return 0;
             }
-            self.adopt_extent(extent);
+            let Some(unassigned) = gam.free_space().run_at(extent) else {
+                return 0;
+            };
+            let reach = (page + max_len - 1) / PAGES_PER_EXTENT + 1;
+            let extents = Extent::new(extent, unassigned.end().min(reach) - extent);
+            let assigned = gam.assign_run(extents);
+            debug_assert!(assigned, "a free GAM run is assignable");
+            self.adopt(extents);
         }
         let run = self
             .map
-            .run_at(page.0)
+            .run_at(page)
             .expect("the position was just checked or adopted free");
-        let take = (run.end() - page.0).min(max_len);
-        let taken = Extent::new(page.0, take);
+        let taken = Extent::new(page, (run.end() - page).min(max_len));
         self.map.reserve(taken).expect("the run's pages are free");
         self.picker.advance(taken);
-        take
-    }
-
-    /// Frees one page, returning its extent to the GAM if the extent is now
-    /// completely empty.
-    pub fn free_page(&mut self, gam: &mut Gam, page: PageId) {
-        self.free_run(gam, Extent::new(page.0, 1));
+        taken.len
     }
 
     /// Frees a contiguous run of pages in one free-map release, returning
-    /// each extent the run empties to the GAM.
+    /// every extent the run empties to the GAM in one span.
     ///
-    /// The end state is identical to freeing the run's pages one
-    /// [`AllocationUnit::free_page`] at a time — release coalescing is
-    /// deterministic and the extent-emptiness checks commute — but a run
-    /// costs one release plus one check per touched extent instead of a
-    /// release and a check per page.
+    /// An extent is empty exactly when all of its pages lie in the coalesced
+    /// free run that now contains `run`, so the emptied extents are
+    /// consecutive: those the freed run touches that fit inside that free
+    /// run.  The end state is identical to freeing the run's pages one at a
+    /// time and returning each extent the moment it empties.
+    ///
+    /// # Panics
+    /// Panics if a page of the run is already free or lies outside the
+    /// unit's extents (both are engine bugs).
     pub fn free_run(&mut self, gam: &mut Gam, run: Extent) {
-        if run.len == 0 {
+        if run.is_empty() {
             return;
         }
-        let first_extent = PageId(run.start).extent();
-        let last_extent = PageId(run.end() - 1).extent();
-        for index in first_extent.0..=last_extent.0 {
-            assert!(
-                self.extents.contains(&ExtentId(index)),
-                "run {run:?} freed outside the unit's extents"
-            );
-        }
+        let first = run.start / PAGES_PER_EXTENT;
+        let end = (run.end() - 1) / PAGES_PER_EXTENT + 1;
+        assert!(
+            (first..end).all(|extent| self.owns(extent)),
+            "run {run:?} freed outside the unit's extents"
+        );
         self.map
             .release(run)
             .unwrap_or_else(|_| panic!("run {run:?} freed twice"));
 
-        // If every page of a touched extent is free, hand the extent back.
-        for index in first_extent.0..=last_extent.0 {
-            let extent = ExtentId(index);
-            let extent_pages = Extent::new(extent.first_page().0, PAGES_PER_EXTENT);
-            if self.map.is_free(extent_pages) {
-                self.map
-                    .reserve(extent_pages)
-                    .expect("a fully free extent's pages can be withdrawn");
-                self.extents.remove(&extent);
-                gam.release(extent);
-            }
+        let free = self.map.run_at(run.start).expect("the run was just freed");
+        let empty_first = first.max(free.start.div_ceil(PAGES_PER_EXTENT));
+        let empty_end = end.min(free.end() / PAGES_PER_EXTENT);
+        if empty_first < empty_end {
+            let empty = Extent::new(empty_first, empty_end - empty_first);
+            self.map
+                .reserve(extent_pages(empty))
+                .expect("a fully free extent's pages can be withdrawn");
+            self.extents
+                .release(empty)
+                .expect("emptied extents were in the chain");
+            gam.release_run(empty);
         }
     }
 
-    /// Frees a sequence of pages, merging neighbouring pages that arrive
-    /// consecutively (in either direction) into single [`free_run`] calls.
-    ///
-    /// Blob page lists and the ghost backlog's drain order are almost
-    /// entirely made of such runs, so this turns their page-at-a-time frees
-    /// into a handful of run releases.
-    ///
-    /// [`free_run`]: AllocationUnit::free_run
-    pub fn free_pages(&mut self, gam: &mut Gam, pages: impl IntoIterator<Item = PageId>) {
-        let mut run: Option<Extent> = None;
-        for page in pages {
-            run = Some(match run {
-                None => Extent::new(page.0, 1),
-                Some(open) if page.0 == open.end() => Extent::new(open.start, open.len + 1),
-                Some(open) if page.0 + 1 == open.start => Extent::new(page.0, open.len + 1),
-                Some(open) => {
-                    self.free_run(gam, open);
-                    Extent::new(page.0, 1)
-                }
-            });
-        }
-        if let Some(open) = run {
-            self.free_run(gam, open);
-        }
+    /// `true` if the extent is in the unit's IAM chain (an extent beyond
+    /// the data file is in no chain).
+    fn owns(&self, extent: u64) -> bool {
+        extent < self.extents.total_clusters() && !self.extents.is_free(Extent::new(extent, 1))
     }
 
     /// The extents currently assigned to this unit, ascending.
     pub fn extents(&self) -> impl Iterator<Item = ExtentId> + '_ {
-        self.extents.iter().copied()
+        (0..self.extents.total_clusters())
+            .filter(|&extent| self.owns(extent))
+            .map(ExtentId)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::fragment_count;
 
     const TEST_PAGES: u64 = 100 * PAGES_PER_EXTENT;
+
+    /// Pages across a layout's runs.
+    fn page_total(runs: &[Extent]) -> u64 {
+        runs.iter().map(|run| run.len).sum()
+    }
+
+    /// Frees `pages` one single-page run at a time.
+    fn free_each(unit: &mut AllocationUnit, gam: &mut Gam, pages: impl IntoIterator<Item = u64>) {
+        for page in pages {
+            unit.free_run(gam, Extent::new(page, 1));
+        }
+    }
 
     #[test]
     fn gam_assigns_lowest_first() {
@@ -639,7 +617,7 @@ mod tests {
         assert_eq!(gam.free_extent_count(), 10);
         assert_eq!(gam.assign_next(), Some(ExtentId(0)));
         assert_eq!(gam.assign_next(), Some(ExtentId(1)));
-        gam.release(ExtentId(0));
+        gam.release_run(Extent::new(0, 1));
         assert_eq!(
             gam.assign_next(),
             Some(ExtentId(0)),
@@ -657,13 +635,9 @@ mod tests {
         // [2, 3) (length 1) and [5, 8) (length 3).
         let fragmented_gam = |policy| {
             let mut gam = Gam::with_policy(10, policy);
-            for extent in 0..10 {
-                assert!(gam.assign_specific(ExtentId(extent)));
-            }
-            gam.release(ExtentId(2));
-            for extent in 5..8 {
-                gam.release(ExtentId(extent));
-            }
+            assert!(gam.assign_run(Extent::new(0, 10)));
+            gam.release_run(Extent::new(2, 1));
+            gam.release_run(Extent::new(5, 3));
             gam
         };
         assert_eq!(
@@ -695,13 +669,18 @@ mod tests {
         assert!(gam.assign_specific(ExtentId(4)));
         assert!(!gam.assign_specific(ExtentId(4)), "already assigned");
         assert!(!gam.is_free(ExtentId(4)));
+        // A run is assigned whole or not at all.
+        assert!(!gam.assign_run(Extent::new(2, 3)), "extent 4 is taken");
+        assert!(gam.is_free(ExtentId(2)) && gam.is_free(ExtentId(3)));
+        assert!(gam.assign_run(Extent::new(5, 3)));
+        assert_eq!(gam.free_extent_count(), 6);
     }
 
     #[test]
     #[should_panic(expected = "released twice")]
     fn gam_double_release_panics() {
         let mut gam = Gam::new(4);
-        gam.release(ExtentId(0));
+        gam.release_run(Extent::new(0, 1));
     }
 
     #[test]
@@ -709,16 +688,20 @@ mod tests {
         let mut gam = Gam::new(100);
         let mut unit = AllocationUnit::new(PageKind::LobData, TEST_PAGES);
         let a = unit.allocate_pages(&mut gam, 20).unwrap();
-        assert_eq!(a.len(), 20);
-        assert_eq!(fragment_count(&a), 1);
+        assert_eq!(page_total(&a), 20);
+        assert_eq!(a.len(), 1);
         // The next object continues right after the previous one, sharing its
         // partially used extent.
         let b = unit.allocate_pages(&mut gam, 20).unwrap();
-        assert_eq!(fragment_count(&b), 1);
-        assert!(a.last().unwrap().is_followed_by(b[0]));
+        assert_eq!(b.len(), 1);
+        assert!(a[0].is_followed_by(&b[0]));
         assert_eq!(unit.used_pages(), 40);
         // 40 pages span extents 0..=4.
         assert_eq!(unit.extent_count(), 5);
+        assert_eq!(
+            unit.extents().collect::<Vec<_>>(),
+            (0..5).map(ExtentId).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -727,14 +710,12 @@ mod tests {
         let mut unit = AllocationUnit::new(PageKind::LobData, TEST_PAGES);
         let a = unit.allocate_pages(&mut gam, 16).unwrap();
         let _b = unit.allocate_pages(&mut gam, 16).unwrap();
-        // Delete `a`: its two extents return to the GAM.
-        for page in &a {
-            unit.free_page(&mut gam, *page);
-        }
+        // Delete `a` a page at a time: its two extents return to the GAM.
+        free_each(&mut unit, &mut gam, a[0].start..a[0].end());
         // A new 8-page object lands in the freed low extent, not at the tail.
         let c = unit.allocate_pages(&mut gam, 8).unwrap();
-        assert_eq!(c[0], PageId(0));
-        assert_eq!(fragment_count(&c), 1);
+        assert_eq!(c[0].start, 0);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
@@ -742,49 +723,70 @@ mod tests {
         let mut gam = Gam::new(100);
         let mut unit = AllocationUnit::new(PageKind::LobData, TEST_PAGES);
         let a = unit.allocate_pages(&mut gam, 64).unwrap();
-        // Free every other 4-page group of `a`, leaving 4-page holes.
-        for chunk in a.chunks(8).map(|c| &c[..4]) {
-            for page in chunk {
-                unit.free_page(&mut gam, *page);
-            }
+        assert_eq!(a, vec![Extent::new(0, 64)]);
+        // Free the first 4 pages of every 8-page group, leaving 4-page holes.
+        for group in (0..64).step_by(8) {
+            free_each(&mut unit, &mut gam, group..group + 4);
         }
         // A 16-page object must span at least four of those holes.
         let b = unit.allocate_pages(&mut gam, 16).unwrap();
-        assert!(
-            fragment_count(&b) >= 4,
-            "got {} fragments",
-            fragment_count(&b)
-        );
+        assert!(b.len() >= 4, "got {} fragments", b.len());
         // And it fills the lowest holes first.
-        assert_eq!(b[0], PageId(0));
+        assert_eq!(b[0].start, 0);
     }
 
     #[test]
     fn freeing_a_whole_extent_returns_it_to_the_gam() {
         let mut gam = Gam::new(10);
         let mut unit = AllocationUnit::new(PageKind::LobData, 10 * PAGES_PER_EXTENT);
-        let pages = unit.allocate_pages(&mut gam, 8).unwrap();
+        let runs = unit.allocate_pages(&mut gam, 8).unwrap();
         assert_eq!(unit.extent_count(), 1);
         let before = gam.free_extent_count();
-        for page in &pages {
-            unit.free_page(&mut gam, *page);
-        }
+        free_each(&mut unit, &mut gam, runs[0].start..runs[0].end());
         assert_eq!(unit.extent_count(), 0);
         assert_eq!(unit.used_pages(), 0);
         assert_eq!(gam.free_extent_count(), before + 1);
     }
 
     #[test]
+    fn freeing_a_run_returns_every_emptied_extent_in_one_span() {
+        let mut gam = Gam::new(10);
+        let mut unit = AllocationUnit::new(PageKind::LobData, 10 * PAGES_PER_EXTENT);
+        assert_eq!(
+            unit.allocate_pages(&mut gam, 48).unwrap(),
+            vec![Extent::new(0, 48)]
+        );
+        // Pages 4..6 and 42..44 stay live; freeing 6..42 empties extents
+        // 1..=4 but neither end extent.
+        free_each(&mut unit, &mut gam, [0, 1, 2, 3, 44, 45, 46, 47]);
+        unit.free_run(&mut gam, Extent::new(6, 36));
+        assert_eq!(
+            unit.extents().collect::<Vec<_>>(),
+            vec![ExtentId(0), ExtentId(5)]
+        );
+        assert_eq!(gam.free_extent_count(), 8);
+        assert_eq!(
+            unit.free_space().free_runs(),
+            vec![
+                Extent::new(0, 4),
+                Extent::new(6, 2),
+                Extent::new(40, 2),
+                Extent::new(44, 4)
+            ]
+        );
+    }
+
+    #[test]
     fn partially_freed_extents_stay_with_the_unit() {
         let mut gam = Gam::new(10);
         let mut unit = AllocationUnit::new(PageKind::LobData, 10 * PAGES_PER_EXTENT);
-        let pages = unit.allocate_pages(&mut gam, 8).unwrap();
-        unit.free_page(&mut gam, pages[0]);
+        let runs = unit.allocate_pages(&mut gam, 8).unwrap();
+        unit.free_run(&mut gam, Extent::new(runs[0].start, 1));
         assert_eq!(unit.extent_count(), 1);
         assert_eq!(unit.free_page_count(), 1);
         // The freed page is reused before any new extent is assigned.
         let next = unit.allocate_pages(&mut gam, 1).unwrap();
-        assert_eq!(next[0], pages[0]);
+        assert_eq!(next, vec![Extent::new(runs[0].start, 1)]);
     }
 
     #[test]
@@ -792,8 +794,8 @@ mod tests {
         let mut gam = Gam::new(2); // 16 pages total
         let mut unit = AllocationUnit::new(PageKind::LobData, 2 * PAGES_PER_EXTENT);
         assert!(unit.allocate_pages(&mut gam, 17).is_err());
-        let pages = unit.allocate_pages(&mut gam, 10).unwrap();
-        assert_eq!(pages.len(), 10);
+        let runs = unit.allocate_pages(&mut gam, 10).unwrap();
+        assert_eq!(page_total(&runs), 10);
         let err = unit.allocate_pages(&mut gam, 7).unwrap_err();
         assert!(matches!(
             err,
@@ -812,9 +814,10 @@ mod tests {
     fn double_free_panics() {
         let mut gam = Gam::new(2);
         let mut unit = AllocationUnit::new(PageKind::LobData, 2 * PAGES_PER_EXTENT);
-        let pages = unit.allocate_pages(&mut gam, 4).unwrap();
-        unit.free_page(&mut gam, pages[0]);
-        unit.free_page(&mut gam, pages[0]);
+        let runs = unit.allocate_pages(&mut gam, 4).unwrap();
+        let page = Extent::new(runs[0].start, 1);
+        unit.free_run(&mut gam, page);
+        unit.free_run(&mut gam, page);
     }
 
     #[test]
@@ -835,15 +838,14 @@ mod tests {
             AllocationPolicy::Fit(FitPolicy::BestFit),
         );
         let a = unit.allocate_pages(&mut gam, 32).unwrap();
+        assert_eq!(a, vec![Extent::new(0, 32)]);
         // Carve two holes: a 1-page hole at page 5 and a 3-page hole at 16..19.
-        unit.free_page(&mut gam, a[5]);
-        for page in &a[16..19] {
-            unit.free_page(&mut gam, *page);
-        }
+        unit.free_run(&mut gam, Extent::new(5, 1));
+        free_each(&mut unit, &mut gam, 16..19);
         // A 1-page object goes to the snuggest hole (page 5), not the lowest
         // eligible position of first fit.
         let b = unit.allocate_pages(&mut gam, 1).unwrap();
-        assert_eq!(b, vec![PageId(5)]);
+        assert_eq!(b, vec![Extent::new(5, 1)]);
     }
 
     #[test]
@@ -852,17 +854,16 @@ mod tests {
         let mut unit = AllocationUnit::new(PageKind::LobData, TEST_PAGES);
         let a = unit.allocate_pages(&mut gam, 16).unwrap();
         // Free a 6-page hole inside the unit's extents.
-        for page in &a[4..10] {
-            unit.free_page(&mut gam, *page);
-        }
+        unit.free_run(&mut gam, Extent::new(a[0].start + 4, 6));
         // The GAM's unassigned tail (98 extents) dwarfs the 6-page hole, so a
         // 4-page request lands contiguously in fresh extents...
         let from_gam = unit.allocate_largest_runs(&mut gam, 4).unwrap();
-        assert_eq!(fragment_count(&from_gam), 1);
-        assert_eq!(from_gam[0], ExtentId(2).first_page());
+        assert_eq!(from_gam.len(), 1);
+        assert_eq!(from_gam[0].start, ExtentId(2).first_page().0);
         // ...and a 20-page one is a single run of consecutive fresh extents.
         let bigger = unit.allocate_largest_runs(&mut gam, 20).unwrap();
-        assert_eq!(fragment_count(&bigger), 1);
+        assert_eq!(bigger.len(), 1);
+        assert_eq!(page_total(&bigger), 20);
         assert!(unit.allocate_largest_runs(&mut gam, 0).unwrap().is_empty());
     }
 
@@ -870,18 +871,42 @@ mod tests {
     fn allocate_largest_runs_falls_back_to_several_runs() {
         let mut gam = Gam::new(2); // 16 pages
         let mut unit = AllocationUnit::new(PageKind::LobData, 2 * PAGES_PER_EXTENT);
-        let pages = unit.allocate_pages(&mut gam, 16).unwrap();
+        let runs = unit.allocate_pages(&mut gam, 16).unwrap();
+        assert_eq!(runs, vec![Extent::new(0, 16)]);
         // Free pages in two separated runs of 3 and 2.
-        for page in [&pages[2..5], &pages[8..10]].concat() {
-            unit.free_page(&mut gam, page);
-        }
+        free_each(&mut unit, &mut gam, (2..5).chain(8..10));
         // No single 5-page run exists anywhere; the largest-first fallback
         // uses exactly the two runs, biggest first.
         let scattered = unit.allocate_largest_runs(&mut gam, 5).unwrap();
-        assert_eq!(fragment_count(&scattered), 2);
-        assert_eq!(scattered[0], pages[2], "the 3-page run is taken first");
+        assert_eq!(scattered.len(), 2);
+        assert_eq!(scattered[0].start, 2, "the 3-page run is taken first");
         // More than the free pool refuses cleanly.
         assert!(unit.allocate_largest_runs(&mut gam, 1).is_none());
+    }
+
+    #[test]
+    fn largest_runs_merge_physically_adjacent_pieces() {
+        // One unit-owned extent with 6 free pages beside a 3-extent GAM run:
+        // a 30-page request takes the GAM run (24 pages) first, then the
+        // unit run.  Where the unit run follows the GAM run physically the
+        // two pieces are one fragment; where it precedes it they are two.
+        let split = |owned: u64, used: Extent| {
+            let mut gam = Gam::new(4);
+            let mut unit = AllocationUnit::new(PageKind::LobData, 4 * PAGES_PER_EXTENT);
+            assert!(gam.assign_specific(ExtentId(owned)));
+            unit.adopt(Extent::new(owned, 1));
+            unit.map.reserve(used).unwrap();
+            unit.allocate_largest_runs(&mut gam, 30).unwrap()
+        };
+        assert_eq!(
+            split(3, Extent::new(30, 2)),
+            vec![Extent::new(0, 30)],
+            "GAM pages 0..24 continue into the unit's free pages 24..30"
+        );
+        assert_eq!(
+            split(0, Extent::new(0, 2)),
+            vec![Extent::new(8, 24), Extent::new(2, 6)]
+        );
     }
 
     fn banded_pair(total_extents: u64, boundary: f64) -> (Gam, AllocationUnit) {
@@ -903,14 +928,14 @@ mod tests {
         let boundary_page = 60 * PAGES_PER_EXTENT;
         // Foreground allocations fill from the front as before...
         let foreground = unit.allocate_pages(&mut gam, 16).unwrap();
-        assert_eq!(foreground[0], PageId(0));
+        assert_eq!(foreground[0].start, 0);
         // ...while maintenance relocations land beyond the boundary.
         let moved = unit.allocate_maintenance_runs(&mut gam, 16, 0).unwrap();
         assert!(
-            moved.iter().all(|page| page.0 >= boundary_page),
-            "maintenance pages {moved:?} must sit at or above page {boundary_page}"
+            moved.iter().all(|run| run.start >= boundary_page),
+            "maintenance runs {moved:?} must sit at or above page {boundary_page}"
         );
-        assert_eq!(fragment_count(&moved), 1);
+        assert_eq!(moved.len(), 1);
     }
 
     #[test]
@@ -918,9 +943,7 @@ mod tests {
         let (mut gam, mut unit) = banded_pair(100, 0.6);
         // Occupy the entire maintenance band (100% band occupancy): every
         // high extent is assigned away.
-        for extent in 60..100 {
-            assert!(gam.assign_specific(ExtentId(extent)));
-        }
+        assert!(gam.assign_run(Extent::new(60, 40)));
         let free_before = gam.free_extent_count();
         let used_before = unit.used_pages();
         // Plenty of low-band space exists, but maintenance may not touch it.
@@ -929,7 +952,7 @@ mod tests {
         assert_eq!(unit.used_pages(), used_before);
         // A band with *some* space still refuses (and rolls back) when the
         // request exceeds it.
-        gam.release(ExtentId(60));
+        gam.release_run(Extent::new(60, 1));
         assert_eq!(
             unit.allocate_maintenance_runs(&mut gam, 2 * PAGES_PER_EXTENT, 0),
             None,
@@ -942,7 +965,7 @@ mod tests {
         let fits = unit
             .allocate_maintenance_runs(&mut gam, PAGES_PER_EXTENT, 0)
             .unwrap();
-        assert_eq!(fits[0], ExtentId(60).first_page());
+        assert_eq!(fits[0].start, ExtentId(60).first_page().0);
     }
 
     #[test]
@@ -960,20 +983,18 @@ mod tests {
         let mut unit =
             AllocationUnit::with_placement(PageKind::LobData, TEST_PAGES, policy, placement);
         let all = unit.allocate_pages(&mut gam, 800).unwrap();
-        assert_eq!(all.len(), 800);
-        unit.free_page(&mut gam, PageId(480));
-        unit.free_page(&mut gam, PageId(100));
-        unit.free_page(&mut gam, PageId(101));
+        assert_eq!(page_total(&all), 800);
+        free_each(&mut unit, &mut gam, [480, 100, 101]);
         let pick = unit.allocate_pages(&mut gam, 1).unwrap();
         assert_eq!(
             pick,
-            vec![PageId(100)],
+            vec![Extent::new(100, 1)],
             "page 480 sits in the maintenance band under the aligned boundary"
         );
         // The maintenance side agrees: its candidate is exactly the hole at
         // the aligned boundary.
         let moved = unit.allocate_maintenance_runs(&mut gam, 1, 0).unwrap();
-        assert_eq!(moved, vec![PageId(480)]);
+        assert_eq!(moved, vec![Extent::new(480, 1)]);
     }
 
     #[test]
@@ -995,13 +1016,12 @@ mod tests {
         );
         assert_eq!(gam.free_extent_count(), 100);
         // Carve an eligible 3-extent run: [10, 13) free between assignments.
-        for extent in (0..10).chain(13..100) {
-            assert!(gam.assign_specific(ExtentId(extent)));
-        }
-        let pages = unit
+        assert!(gam.assign_run(Extent::new(0, 10)));
+        assert!(gam.assign_run(Extent::new(13, 87)));
+        let runs = unit
             .allocate_maintenance_runs(&mut gam, 8, 4 * PAGES_PER_EXTENT)
             .unwrap();
-        assert_eq!(pages[0], ExtentId(10).first_page());
+        assert_eq!(runs[0].start, ExtentId(10).first_page().0);
         // A watermark below one extent admits no GAM run.
         assert_eq!(
             unit.allocate_maintenance_runs(&mut gam, 8, PAGES_PER_EXTENT - 1),
@@ -1018,10 +1038,12 @@ mod tests {
         let seed_a = unit_a.allocate_pages(&mut gam_a, 30).unwrap();
         let seed_b = unit_b.allocate_pages(&mut gam_b, 30).unwrap();
         assert_eq!(seed_a, seed_b);
-        for page in seed_a.iter().skip(4).step_by(3) {
-            unit_a.free_page(&mut gam_a, *page);
-            unit_b.free_page(&mut gam_b, *page);
-        }
+        let holes: Vec<u64> = (seed_a[0].start..seed_a[0].end())
+            .skip(4)
+            .step_by(3)
+            .collect();
+        free_each(&mut unit_a, &mut gam_a, holes.iter().copied());
+        free_each(&mut unit_b, &mut gam_b, holes.iter().copied());
         let via_maintenance = unit_a.allocate_maintenance_runs(&mut gam_a, 12, 7);
         let via_largest = unit_b.allocate_largest_runs(&mut gam_b, 12);
         assert_eq!(via_maintenance, via_largest);
@@ -1032,13 +1054,14 @@ mod tests {
     fn allocate_pages_high_takes_the_tail_of_the_file() {
         let mut gam = Gam::new(10);
         let mut unit = AllocationUnit::new(PageKind::RowData, 10 * PAGES_PER_EXTENT);
-        let pages = unit.allocate_pages_high(&mut gam, 3).unwrap();
+        let runs = unit.allocate_pages_high(&mut gam, 3).unwrap();
         let last = 10 * PAGES_PER_EXTENT - 1;
-        assert_eq!(
-            pages,
-            vec![PageId(last), PageId(last - 1), PageId(last - 2)]
-        );
+        assert_eq!(runs, vec![Extent::new(last - 2, 3)]);
         assert_eq!(unit.extent_count(), 1);
         assert!(!gam.is_free(ExtentId(9)));
+        // Crossing an extent boundary continues in the next-highest extent.
+        let more = unit.allocate_pages_high(&mut gam, 7).unwrap();
+        assert_eq!(more, vec![Extent::new(72, 5), Extent::new(70, 2)]);
+        assert_eq!(unit.extent_count(), 2);
     }
 }

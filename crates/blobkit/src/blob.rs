@@ -2,14 +2,19 @@
 //!
 //! SQL Server stores large out-of-row values as a tree of text/image pages
 //! (the Exodus design the paper cites).  For fragmentation purposes what
-//! matters is the *ordered list of physical pages* holding the object's
+//! matters is the *ordered sequence of physical pages* holding the object's
 //! bytes; the tree's interior nodes are small and cached, so the record here
-//! keeps the leaf page list plus the object's logical size.
+//! keeps the leaf pages as coalesced runs of physically consecutive pages,
+//! in logical order, plus the object's logical size.  A run is one fragment,
+//! so the record's fragment count is its run count, and a 10 MB object that
+//! aging has scattered over a few hundred runs costs a few hundred entries
+//! rather than one per page.
 
+use lor_alloc::Extent;
 use lor_disksim::ByteRun;
 use serde::{Deserialize, Serialize};
 
-use crate::page::{fragment_count, page_runs, PageId};
+use crate::page::coalesce;
 
 /// Identifier of a stored BLOB.  Never reused within the lifetime of an
 /// engine instance.
@@ -22,7 +27,7 @@ impl std::fmt::Display for BlobId {
     }
 }
 
-/// One stored object: its key, logical size, and leaf page map.
+/// One stored object: its key, logical size, and leaf page runs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlobRecord {
     /// Stable identifier.
@@ -31,29 +36,53 @@ pub struct BlobRecord {
     pub key: String,
     /// Logical size in bytes.
     pub size_bytes: u64,
-    /// Leaf pages in logical order.
-    pub pages: Vec<PageId>,
+    /// Leaf page runs in logical order, coalesced: no run physically
+    /// continues its predecessor.
+    runs: Vec<Extent>,
+    /// Leaf pages across all runs.
+    page_count: u64,
 }
 
 impl BlobRecord {
-    /// Creates a record for a freshly inserted object.
-    pub fn new(id: BlobId, key: impl Into<String>, size_bytes: u64, pages: Vec<PageId>) -> Self {
-        BlobRecord {
+    /// Creates a record for a freshly inserted object stored on `runs` (page
+    /// runs in logical order; physically adjacent neighbours are merged).
+    pub fn new(id: BlobId, key: impl Into<String>, size_bytes: u64, runs: Vec<Extent>) -> Self {
+        let mut record = BlobRecord {
             id,
             key: key.into(),
             size_bytes,
-            pages,
-        }
+            runs: Vec::new(),
+            page_count: 0,
+        };
+        record.replace_runs(runs);
+        record
+    }
+
+    /// The leaf page runs in logical order.
+    pub fn runs(&self) -> &[Extent] {
+        &self.runs
     }
 
     /// Number of physically discontiguous page runs (1 = contiguous).
     pub fn fragment_count(&self) -> usize {
-        fragment_count(&self.pages)
+        self.runs.len()
     }
 
     /// Number of leaf pages.
     pub fn page_count(&self) -> u64 {
-        self.pages.len() as u64
+        self.page_count
+    }
+
+    /// Moves the object onto `runs`, returning the runs it occupied before.
+    pub(crate) fn replace_runs(&mut self, mut runs: Vec<Extent>) -> Vec<Extent> {
+        coalesce(&mut runs);
+        self.page_count = runs.iter().map(|run| run.len).sum();
+        std::mem::replace(&mut self.runs, runs)
+    }
+
+    /// The runs the object occupies, consuming the record.
+    pub(crate) fn into_runs(self) -> Vec<Extent> {
+        self.runs
     }
 
     /// The byte runs a sequential scan of the object's leaf pages touches.
@@ -63,11 +92,9 @@ impl BlobRecord {
     /// header/packing overhead — one of the streaming-rate disadvantages the
     /// folklore attributes to databases.
     pub fn byte_runs(&self, page_size: u64, base_offset: u64) -> Vec<ByteRun> {
-        page_runs(&self.pages)
-            .into_iter()
-            .map(|(first, count)| {
-                ByteRun::new(base_offset + first.0 * page_size, count * page_size)
-            })
+        self.runs
+            .iter()
+            .map(|run| ByteRun::new(base_offset + run.start * page_size, run.len * page_size))
             .collect()
     }
 }
@@ -82,10 +109,11 @@ mod tests {
             BlobId(1),
             "k",
             100,
-            vec![PageId(10), PageId(11), PageId(20), PageId(21), PageId(22)],
+            vec![Extent::new(10, 1), Extent::new(11, 1), Extent::new(20, 3)],
         );
         assert_eq!(record.page_count(), 5);
         assert_eq!(record.fragment_count(), 2);
+        assert_eq!(record.runs(), &[Extent::new(10, 2), Extent::new(20, 3)]);
         assert_eq!(BlobId(1).to_string(), "blob#1");
     }
 
@@ -95,7 +123,7 @@ mod tests {
             BlobId(1),
             "k",
             10_000,
-            vec![PageId(2), PageId(3), PageId(9)],
+            vec![Extent::new(2, 2), Extent::new(9, 1)],
         );
         let runs = record.byte_runs(8192, 1_000_000);
         assert_eq!(
@@ -116,6 +144,7 @@ mod tests {
     fn empty_blob_has_no_runs() {
         let record = BlobRecord::new(BlobId(1), "k", 0, Vec::new());
         assert_eq!(record.fragment_count(), 0);
+        assert_eq!(record.page_count(), 0);
         assert!(record.byte_runs(8192, 0).is_empty());
     }
 }

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use crate::allocation::{AllocationUnit, Gam};
 use crate::blob::{BlobId, BlobRecord};
 use crate::error::DbError;
-use crate::page::{ExtentId, PageId, PageKind, PAGES_PER_EXTENT};
+use crate::page::{coalesce, extent_pages, ExtentId, PageKind, PAGES_PER_EXTENT};
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -184,11 +184,14 @@ pub struct Database {
     blobs: BTreeMap<BlobId, BlobRecord>,
     keys: BTreeMap<String, BlobId>,
     next_id: u64,
-    /// Pages of deleted/replaced BLOB versions awaiting ghost cleanup.
-    /// Kept sorted (a page can never be ghosted twice before cleanup frees
-    /// it), so a budgeted tail-first pass pops the highest offsets in
-    /// O(take · log G) instead of re-sorting the whole backlog.
-    ghost_pages: BTreeSet<PageId>,
+    /// Page runs of deleted/replaced BLOB versions awaiting ghost cleanup,
+    /// appended in ghosting order.  Runs never overlap (a page cannot be
+    /// ghosted twice before cleanup frees it), so a cleanup pass sorts them
+    /// by start once and a budgeted tail-first pass pops (or splits) runs
+    /// off the end.
+    ghost_runs: Vec<Extent>,
+    /// Pages across `ghost_runs`.
+    ghost_pages: u64,
     ops_since_cleanup: u64,
     /// Metadata rows currently live (one per object).
     row_count: u64,
@@ -235,7 +238,8 @@ impl Database {
             blobs: BTreeMap::new(),
             keys: BTreeMap::new(),
             next_id: 1,
-            ghost_pages: BTreeSet::new(),
+            ghost_runs: Vec::new(),
+            ghost_pages: 0,
             ops_since_cleanup: 0,
             row_count: 0,
             stats: EngineStats::default(),
@@ -272,7 +276,7 @@ impl Database {
     /// Payload bytes currently free for BLOBs, counting ghost pages as free
     /// capacity (they exist, they are just not reusable yet).
     pub fn free_bytes(&self) -> u64 {
-        (self.lob_unit.available_pages(&self.gam) + self.ghost_pages.len() as u64)
+        (self.lob_unit.available_pages(&self.gam) + self.ghost_pages)
             * self.config.lob_payload_per_page
     }
 
@@ -300,22 +304,8 @@ impl Database {
         if self.keys.contains_key(key) {
             return Err(DbError::KeyExists(key.to_string()));
         }
-        let pages = self.allocate_lob_pages(self.config.pages_for(size_bytes))?;
-        let id = BlobId(self.next_id);
-        self.next_id += 1;
-        let record = BlobRecord::new(id, key, size_bytes, pages);
-        let receipt = self.receipt_for(&record);
-        let fragments = record.fragment_count() as u64;
-        self.frag_tracker.record_insert(fragments);
-        self.page_tracker.insert(record.page_count());
-        self.reindex_candidate(id, 0, fragments);
-        self.keys.insert(key.to_string(), id);
-        self.blobs.insert(id, record);
-        self.insert_metadata_row()?;
-        self.stats.inserts += 1;
-        self.stats.bytes_written += size_bytes;
-        self.bump_op();
-        Ok(receipt)
+        let runs = self.allocate_lob_pages(self.config.pages_for(size_bytes))?;
+        self.commit_insert(key, size_bytes, runs)
     }
 
     /// Inserts an object migrating in from another shard, allocating its
@@ -335,24 +325,28 @@ impl Database {
         }
         let need = self.config.pages_for(size_bytes);
         let watermark_pages = self.foreground_watermark_pages();
-        let pages =
-            match self
-                .lob_unit
-                .allocate_maintenance_runs(&mut self.gam, need, watermark_pages)
-            {
-                Some(pages) => pages,
-                None => {
-                    return Err(DbError::OutOfSpace {
-                        requested_pages: need,
-                        free_pages: self.lob_unit.available_pages(&self.gam),
-                    })
-                }
-            };
-        self.stats.pages_allocated += pages.len() as u64;
+        let runs = self
+            .lob_unit
+            .allocate_maintenance_runs(&mut self.gam, need, watermark_pages)
+            .ok_or_else(|| DbError::OutOfSpace {
+                requested_pages: need,
+                free_pages: self.lob_unit.available_pages(&self.gam),
+            })?;
+        self.stats.pages_allocated += need;
+        self.commit_insert(key, size_bytes, runs)
+    }
+
+    /// Records a new object stored on freshly allocated `runs` under `key`.
+    fn commit_insert(
+        &mut self,
+        key: &str,
+        size_bytes: u64,
+        runs: Vec<Extent>,
+    ) -> Result<DbWriteReceipt, DbError> {
         let id = BlobId(self.next_id);
         self.next_id += 1;
-        let record = BlobRecord::new(id, key, size_bytes, pages);
-        let receipt = self.receipt_for(&record);
+        let record = BlobRecord::new(id, key, size_bytes, runs);
+        let receipt = Self::receipt(&self.config, &record);
         let fragments = record.fragment_count() as u64;
         self.frag_tracker.record_insert(fragments);
         self.page_tracker.insert(record.page_count());
@@ -375,28 +369,40 @@ impl Database {
             .keys
             .get(key)
             .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
-        let new_pages = self.allocate_lob_pages(self.config.pages_for(size_bytes))?;
+        let runs = self.allocate_lob_pages(self.config.pages_for(size_bytes))?;
+        Ok(self.commit_update(id, size_bytes, runs))
+    }
 
+    /// Moves object `id` onto the freshly allocated `runs` of its new
+    /// version and ghosts the old version's runs.
+    fn commit_update(&mut self, id: BlobId, size_bytes: u64, runs: Vec<Extent>) -> DbWriteReceipt {
         let record = self
             .blobs
             .get_mut(&id)
             .expect("key map and blob map are consistent");
-        let old_pages = std::mem::replace(&mut record.pages, new_pages);
+        let old_fragments = record.fragment_count() as u64;
+        let old_page_count = record.page_count();
+        let old_runs = record.replace_runs(runs);
         let old_size = std::mem::replace(&mut record.size_bytes, size_bytes);
-        let receipt = Self::receipt_for_parts(&self.config, id, &record.pages, size_bytes);
-        let old_fragments = crate::page::fragment_count(&old_pages) as u64;
-        let new_fragments = crate::page::fragment_count(&self.blobs[&id].pages) as u64;
+        let new_fragments = record.fragment_count() as u64;
+        let new_page_count = record.page_count();
+        let receipt = Self::receipt(&self.config, record);
         self.frag_tracker
             .record_replace(old_fragments, new_fragments);
-        self.page_tracker
-            .replace(old_pages.len() as u64, self.blobs[&id].pages.len() as u64);
+        self.page_tracker.replace(old_page_count, new_page_count);
         self.reindex_candidate(id, old_fragments, new_fragments);
-        self.ghost_pages.extend(old_pages);
+        self.ghost(old_runs, old_page_count);
         self.stats.updates += 1;
         self.stats.bytes_written += size_bytes;
         self.stats.bytes_deleted += old_size;
         self.bump_op();
-        Ok(receipt)
+        receipt
+    }
+
+    /// Queues an old version's runs for ghost cleanup.
+    fn ghost(&mut self, runs: Vec<Extent>, pages: u64) {
+        self.ghost_runs.extend(runs);
+        self.ghost_pages += pages;
     }
 
     /// Replaces several objects whose writes are in flight at the same time,
@@ -424,7 +430,8 @@ impl Database {
         }
 
         // Interleave page allocation across the batch.
-        let mut new_pages: Vec<Vec<PageId>> = vec![Vec::new(); items.len()];
+        let mut new_runs: Vec<Vec<Extent>> = vec![Vec::new(); items.len()];
+        let mut have = vec![0u64; items.len()];
         let targets: Vec<u64> = items
             .iter()
             .map(|(_, size)| self.config.pages_for(*size))
@@ -433,28 +440,28 @@ impl Database {
         while pending {
             pending = false;
             for (index, target) in targets.iter().enumerate() {
-                let have = new_pages[index].len() as u64;
-                if have < *target {
-                    let want = self.config.pages_for(chunk_payload).min(target - have);
-                    let pages = match self.allocate_lob_pages(want) {
-                        Ok(pages) => pages,
+                if have[index] < *target {
+                    let want = self
+                        .config
+                        .pages_for(chunk_payload)
+                        .min(target - have[index]);
+                    let runs = match self.allocate_lob_pages(want) {
+                        Ok(runs) => runs,
                         Err(err) => {
                             // Abort the whole batch: pages already allocated
                             // for earlier items belong to no record yet, so
                             // they must go straight back to the free pool or
                             // the data file would leak them permanently.
-                            for page in new_pages.iter().flatten() {
-                                self.lob_unit.free_page(&mut self.gam, *page);
+                            for run in new_runs.into_iter().flatten() {
+                                self.lob_unit.free_run(&mut self.gam, run);
                             }
-                            self.stats.pages_allocated -= new_pages
-                                .iter()
-                                .map(|pages| pages.len() as u64)
-                                .sum::<u64>();
+                            self.stats.pages_allocated -= have.iter().sum::<u64>();
                             return Err(err);
                         }
                     };
-                    new_pages[index].extend(pages);
-                    if (new_pages[index].len() as u64) < *target {
+                    new_runs[index].extend(runs);
+                    have[index] += want;
+                    if have[index] < *target {
                         pending = true;
                     }
                 }
@@ -462,35 +469,12 @@ impl Database {
         }
 
         // Commit: swap page maps, ghost old versions.
-        let mut receipts = Vec::with_capacity(items.len());
-        for (((_, size), id), pages) in items.iter().zip(ids).zip(new_pages) {
-            let record = self
-                .blobs
-                .get_mut(&id)
-                .expect("key map and blob map are consistent");
-            let old_pages = std::mem::replace(&mut record.pages, pages);
-            let old_size = std::mem::replace(&mut record.size_bytes, *size);
-            let new_fragments = record.fragment_count() as u64;
-            let new_page_count = record.page_count();
-            receipts.push(Self::receipt_for_parts(
-                &self.config,
-                id,
-                &record.pages,
-                *size,
-            ));
-            let old_fragments = crate::page::fragment_count(&old_pages) as u64;
-            self.frag_tracker
-                .record_replace(old_fragments, new_fragments);
-            self.page_tracker
-                .replace(old_pages.len() as u64, new_page_count);
-            self.reindex_candidate(id, old_fragments, new_fragments);
-            self.ghost_pages.extend(old_pages);
-            self.stats.updates += 1;
-            self.stats.bytes_written += *size;
-            self.stats.bytes_deleted += old_size;
-            self.bump_op();
-        }
-        Ok(receipts)
+        Ok(items
+            .iter()
+            .zip(ids)
+            .zip(new_runs)
+            .map(|(((_, size), id), runs)| self.commit_update(id, *size, runs))
+            .collect())
     }
 
     /// Deletes the object stored under `key`.  Its pages become ghosts until
@@ -505,13 +489,15 @@ impl Database {
             .remove(&id)
             .expect("key map and blob map are consistent");
         let fragments = record.fragment_count() as u64;
+        let pages = record.page_count();
+        let size_bytes = record.size_bytes;
         self.frag_tracker.record_remove(fragments);
-        self.page_tracker.remove(record.page_count());
+        self.page_tracker.remove(pages);
         self.reindex_candidate(id, fragments, 0);
-        self.ghost_pages.extend(record.pages);
+        self.ghost(record.into_runs(), pages);
         self.row_count -= 1;
         self.stats.deletes += 1;
-        self.stats.bytes_deleted += record.size_bytes;
+        self.stats.bytes_deleted += size_bytes;
         self.bump_op();
         Ok(())
     }
@@ -543,36 +529,42 @@ impl Database {
     /// free space the allocator sees as contiguous as possible while the
     /// low-offset backlog keeps aging towards a rare bulk drop.
     pub fn ghost_cleanup_limited(&mut self, max_pages: u64) -> u64 {
-        if self.ghost_pages.is_empty() {
+        if self.ghost_pages == 0 {
             self.ops_since_cleanup = 0;
             return 0;
         }
         let take = if max_pages == 0 {
-            self.ghost_pages.len()
+            self.ghost_pages
         } else {
-            (max_pages as usize).min(self.ghost_pages.len())
+            max_pages.min(self.ghost_pages)
         };
-        if take < self.ghost_pages.len() {
-            // Partial pass: pop the highest-offset ghosts off the sorted
-            // backlog (O(take · log G)), keep the rest queued.  The pops
-            // arrive in descending order, so `free_pages` coalesces the
-            // backlog's contiguous stretches into run-sized releases.
-            let popped: Vec<PageId> = (0..take)
-                .map(|_| self.ghost_pages.pop_last().expect("backlog is non-empty"))
-                .collect();
-            self.lob_unit.free_pages(&mut self.gam, popped);
-        } else {
-            let backlog = std::mem::take(&mut self.ghost_pages);
-            self.lob_unit.free_pages(&mut self.gam, backlog);
+        // Sort the backlog by offset and merge touching runs, so the tail
+        // holds the highest pages and each stretch frees in one release.
+        // After a budgeted pass the backlog is a sorted prefix plus the runs
+        // ghosted since, which the stable sort merges in near-linear time.
+        self.ghost_runs.sort_by_key(|run| run.start);
+        coalesce(&mut self.ghost_runs);
+        let mut left = take;
+        while left > 0 {
+            let last = self.ghost_runs.last_mut().expect("backlog covers take");
+            let freed = if last.len <= left {
+                self.ghost_runs.pop().expect("just seen")
+            } else {
+                last.len -= left;
+                Extent::new(last.end(), left)
+            };
+            self.lob_unit.free_run(&mut self.gam, freed);
+            left -= freed.len;
         }
+        self.ghost_pages -= take;
         self.ops_since_cleanup = 0;
         self.stats.ghost_cleanups += 1;
-        take as u64
+        take
     }
 
     /// Pages currently awaiting ghost cleanup.
     pub fn ghost_page_count(&self) -> u64 {
-        self.ghost_pages.len() as u64
+        self.ghost_pages
     }
 
     /// Per-object fragment counts (the paper's headline metric).
@@ -608,7 +600,7 @@ impl Database {
                 .free_space()
                 .free_runs()
                 .into_iter()
-                .map(|run| Extent::new(run.start * PAGES_PER_EXTENT, run.len * PAGES_PER_EXTENT)),
+                .map(extent_pages),
         );
         runs.sort_unstable_by_key(|run| run.start);
         runs
@@ -680,9 +672,9 @@ impl Database {
                 .blobs
                 .get_mut(&id)
                 .expect("key map and blob map are consistent");
-            let pages = new_lob.allocate_pages(&mut new_gam, record.page_count())?;
+            let runs = new_lob.allocate_pages(&mut new_gam, record.page_count())?;
             let old_fragments = record.fragment_count() as u64;
-            record.pages = pages;
+            record.replace_runs(runs);
             let new_fragments = record.fragment_count() as u64;
             copied += record.size_bytes;
             self.frag_tracker
@@ -693,7 +685,8 @@ impl Database {
         self.gam = new_gam;
         self.lob_unit = new_lob;
         self.row_unit = new_row;
-        self.ghost_pages.clear();
+        self.ghost_runs.clear();
+        self.ghost_pages = 0;
         self.stats.row_pages = row_pages_needed;
         Ok(copied)
     }
@@ -769,22 +762,22 @@ impl Database {
                     continue;
                 }
             }
-            let new_pages =
+            let new_runs =
                 match self
                     .lob_unit
                     .allocate_maintenance_runs(&mut self.gam, need, watermark_pages)
                 {
-                    Some(pages) => pages,
+                    Some(runs) => runs,
                     None => {
                         report.blobs_skipped += 1;
                         report.fragments_after += fragments as u64;
                         continue;
                     }
                 };
-            let new_fragments = crate::page::fragment_count(&new_pages);
+            let new_fragments = new_runs.len();
             if new_fragments >= fragments {
                 // Not an improvement: roll the speculative allocation back.
-                self.lob_unit.free_pages(&mut self.gam, new_pages);
+                self.free_runs(new_runs);
                 report.blobs_skipped += 1;
                 report.fragments_after += fragments as u64;
                 continue;
@@ -793,11 +786,11 @@ impl Database {
                 .blobs
                 .get_mut(&id)
                 .expect("candidate ids are live blobs");
-            let old_pages = std::mem::replace(&mut record.pages, new_pages);
+            let old_runs = record.replace_runs(new_runs);
             self.frag_tracker
                 .record_replace(fragments as u64, new_fragments as u64);
             self.reindex_candidate(id, fragments as u64, new_fragments as u64);
-            self.lob_unit.free_pages(&mut self.gam, old_pages);
+            self.free_runs(old_runs);
             profile = None;
             self.stats.pages_allocated += need;
             report.blobs_moved += 1;
@@ -888,14 +881,21 @@ impl Database {
 
     /// Allocates LOB pages, forcing a ghost cleanup if the free pool is
     /// exhausted but ghosts exist (allocation pressure).
-    fn allocate_lob_pages(&mut self, pages: u64) -> Result<Vec<PageId>, DbError> {
-        if pages > self.lob_unit.available_pages(&self.gam) && !self.ghost_pages.is_empty() {
+    fn allocate_lob_pages(&mut self, pages: u64) -> Result<Vec<Extent>, DbError> {
+        if pages > self.lob_unit.available_pages(&self.gam) && self.ghost_pages > 0 {
             self.stats.forced_cleanups += 1;
             self.ghost_cleanup();
         }
         let allocated = self.lob_unit.allocate_pages(&mut self.gam, pages)?;
-        self.stats.pages_allocated += allocated.len() as u64;
+        self.stats.pages_allocated += pages;
         Ok(allocated)
+    }
+
+    /// Returns LOB page runs that hold no live data to the free pool.
+    fn free_runs(&mut self, runs: Vec<Extent>) {
+        for run in runs {
+            self.lob_unit.free_run(&mut self.gam, run);
+        }
     }
 
     /// Adds a metadata row, allocating a new clustered-index page when the
@@ -910,30 +910,12 @@ impl Database {
         Ok(())
     }
 
-    fn receipt_for(&self, record: &BlobRecord) -> DbWriteReceipt {
-        Self::receipt_for_parts(&self.config, record.id, &record.pages, record.size_bytes)
-    }
-
-    fn receipt_for_parts(
-        config: &EngineConfig,
-        id: BlobId,
-        pages: &[PageId],
-        size_bytes: u64,
-    ) -> DbWriteReceipt {
-        let runs = crate::page::page_runs(pages)
-            .into_iter()
-            .map(|(first, count)| {
-                ByteRun::new(
-                    config.base_offset + first.0 * config.page_size,
-                    count * config.page_size,
-                )
-            })
-            .collect();
+    fn receipt(config: &EngineConfig, record: &BlobRecord) -> DbWriteReceipt {
         DbWriteReceipt {
-            blob_id: id,
-            runs,
-            bytes_written: size_bytes,
-            pages_written: pages.len() as u64,
+            blob_id: record.id,
+            runs: record.byte_runs(config.page_size, config.base_offset),
+            bytes_written: record.size_bytes,
+            pages_written: record.page_count(),
         }
     }
 
@@ -951,10 +933,13 @@ impl Database {
     pub fn extents_of(&self, key: &str) -> Result<Vec<ExtentId>, DbError> {
         let record = self.get(key)?;
         let mut extents: Vec<ExtentId> = Vec::new();
-        for page in &record.pages {
-            let extent = page.extent();
-            if extents.last() != Some(&extent) {
-                extents.push(extent);
+        for run in record.runs() {
+            let first = run.start / PAGES_PER_EXTENT;
+            let last = (run.end() - 1) / PAGES_PER_EXTENT;
+            for extent in (first..=last).map(ExtentId) {
+                if extents.last() != Some(&extent) {
+                    extents.push(extent);
+                }
             }
         }
         Ok(extents)
@@ -970,6 +955,21 @@ mod tests {
 
     fn small_db() -> Database {
         Database::create(EngineConfig::new(256 * MB)).unwrap()
+    }
+
+    /// Every page of a layout, in logical order.
+    fn pages_of(runs: &[Extent]) -> impl Iterator<Item = u64> + '_ {
+        runs.iter().flat_map(|run| run.start..run.end())
+    }
+
+    /// Asserts that no page is stored twice across the live blobs.
+    fn assert_no_page_shared(db: &Database) {
+        let mut seen = std::collections::HashSet::new();
+        for blob in db.iter_blobs() {
+            for page in pages_of(blob.runs()) {
+                assert!(seen.insert(page), "page {page} stored twice");
+            }
+        }
     }
 
     #[test]
@@ -1045,12 +1045,10 @@ mod tests {
         let receipt = db.insert_as_maintenance("migrant", 2 * MB).unwrap();
         assert_eq!(receipt.bytes_written, 2 * MB);
         let record = db.get("migrant").unwrap();
-        for page in &record.pages {
+        for page in pages_of(record.runs()) {
             assert!(
-                page.0 >= boundary_page,
-                "migration wrote into the foreground band: page {} < boundary {}",
-                page.0,
-                boundary_page
+                page >= boundary_page,
+                "migration wrote into the foreground band: page {page} < boundary {boundary_page}"
             );
         }
 
@@ -1084,13 +1082,14 @@ mod tests {
     fn update_replaces_the_version_and_ghosts_the_old_pages() {
         let mut db = small_db();
         db.insert("doc", 2 * MB).unwrap();
-        let old_pages = db.get("doc").unwrap().pages.clone();
+        let old_runs = db.get("doc").unwrap().runs().to_vec();
         let receipt = db.update("doc", 3 * MB).unwrap();
         let record = db.get("doc").unwrap();
         assert_eq!(record.size_bytes, 3 * MB);
-        assert_eq!(record.pages.len() as u64, receipt.pages_written);
-        assert_ne!(record.pages, old_pages);
-        assert_eq!(db.ghost_page_count(), old_pages.len() as u64);
+        assert_eq!(record.page_count(), receipt.pages_written);
+        assert_eq!(pages_of(record.runs()).count() as u64, record.page_count());
+        assert_ne!(record.runs(), old_runs.as_slice());
+        assert_eq!(db.ghost_page_count(), pages_of(&old_runs).count() as u64);
         assert_eq!(db.object_count(), 1);
         assert_eq!(db.stats().updates, 1);
     }
@@ -1121,12 +1120,7 @@ mod tests {
             summary.fragments_per_object
         );
         // Every object still reads back in full and no page is shared.
-        let mut seen = std::collections::HashSet::new();
-        for blob in db.iter_blobs() {
-            for page in &blob.pages {
-                assert!(seen.insert(*page));
-            }
-        }
+        assert_no_page_shared(&db);
     }
 
     #[test]
@@ -1204,9 +1198,9 @@ mod tests {
             "only the budgeted pages were released"
         );
         // A second bounded pass keeps eating from the (new) tail.
-        let before: Vec<_> = db.ghost_pages.iter().copied().collect();
+        let before: Vec<_> = pages_of(&db.ghost_runs).collect();
         db.ghost_cleanup_limited(pages_of_a_blob);
-        let after: Vec<_> = db.ghost_pages.iter().copied().collect();
+        let after: Vec<_> = pages_of(&db.ghost_runs).collect();
         let released: Vec<_> = before.iter().filter(|p| !after.contains(p)).collect();
         let kept_max = after.iter().max().unwrap();
         assert!(
@@ -1344,13 +1338,10 @@ mod tests {
             after.fragments_per_object
         );
         // Every object still reads back in full and no page is shared.
-        let mut seen = std::collections::HashSet::new();
         for blob in db.iter_blobs() {
             assert_eq!(blob.page_count(), db.config().pages_for(MB));
-            for page in &blob.pages {
-                assert!(seen.insert(*page));
-            }
         }
+        assert_no_page_shared(&db);
     }
 
     /// Ages a small engine under an explicit placement policy.
@@ -1449,7 +1440,7 @@ mod tests {
         // At least one moved blob physically sits in the maintenance band.
         assert!(
             db.iter_blobs()
-                .any(|blob| blob.pages.iter().all(|page| page.0 >= boundary_page)),
+                .any(|blob| pages_of(blob.runs()).all(|page| page >= boundary_page)),
             "no blob ended up in the maintenance band"
         );
     }
@@ -1464,13 +1455,13 @@ mod tests {
         assert!(db.fragmentation().fragments_per_object > 1.2);
 
         let largest_before = foreground_band_largest(&db);
-        let layouts_before: Vec<_> = db.iter_blobs().map(|b| b.pages.clone()).collect();
+        let layouts_before: Vec<_> = db.iter_blobs().map(|b| b.runs().to_vec()).collect();
         for _ in 0..4 {
             let report = db.compact_step(0);
             assert_eq!(report.blobs_moved, 0, "no candidate fits the band");
             assert!(report.blobs_skipped > 0, "candidates are skipped, not lost");
         }
-        let layouts_after: Vec<_> = db.iter_blobs().map(|b| b.pages.clone()).collect();
+        let layouts_after: Vec<_> = db.iter_blobs().map(|b| b.runs().to_vec()).collect();
         assert_eq!(layouts_before, layouts_after, "layouts untouched");
         assert_eq!(foreground_band_largest(&db), largest_before);
     }
@@ -1533,20 +1524,25 @@ mod tests {
                     break;
                 }
                 let need = legacy.blobs[&id].page_count();
-                let Some(new_pages) = legacy.lob_unit.allocate_largest_runs(&mut legacy.gam, need)
+                let Some(new_runs) = legacy.lob_unit.allocate_largest_runs(&mut legacy.gam, need)
                 else {
                     continue;
                 };
-                if crate::page::fragment_count(&new_pages) >= fragments {
-                    for page in new_pages {
-                        legacy.lob_unit.free_page(&mut legacy.gam, page);
+                // The legacy step frees a page at a time.
+                if new_runs.len() >= fragments {
+                    for page in pages_of(&new_runs) {
+                        legacy
+                            .lob_unit
+                            .free_run(&mut legacy.gam, Extent::new(page, 1));
                     }
                     continue;
                 }
                 let record = legacy.blobs.get_mut(&id).unwrap();
-                let old_pages = std::mem::replace(&mut record.pages, new_pages);
-                for page in old_pages {
-                    legacy.lob_unit.free_page(&mut legacy.gam, page);
+                let old_runs = record.replace_runs(new_runs);
+                for page in pages_of(&old_runs) {
+                    legacy
+                        .lob_unit
+                        .free_run(&mut legacy.gam, Extent::new(page, 1));
                 }
                 moved += 1;
                 pages_moved += need;
@@ -1556,8 +1552,8 @@ mod tests {
             }
         }
 
-        let new_layouts: Vec<_> = new_path.iter_blobs().map(|b| b.pages.clone()).collect();
-        let legacy_layouts: Vec<_> = legacy.iter_blobs().map(|b| b.pages.clone()).collect();
+        let new_layouts: Vec<_> = new_path.iter_blobs().map(|b| b.runs().to_vec()).collect();
+        let legacy_layouts: Vec<_> = legacy.iter_blobs().map(|b| b.runs().to_vec()).collect();
         assert_eq!(new_layouts, legacy_layouts);
         assert_eq!(
             new_path.gam().free_space().free_runs(),

@@ -6,6 +6,7 @@
 //! record overhead), which is one of the reasons a database BLOB occupies a
 //! little more disk than the same object stored as a file.
 
+use lor_alloc::Extent;
 use serde::{Deserialize, Serialize};
 
 /// Pages per extent (SQL Server: 8).
@@ -72,35 +73,26 @@ pub enum PageKind {
     AllocationMap,
 }
 
-/// Counts runs of physically consecutive pages — the database-side equivalent
-/// of a file's fragment count.  An empty list has zero fragments; a contiguous
-/// list has one.
-pub fn fragment_count(pages: &[PageId]) -> usize {
-    let mut fragments = 0;
-    let mut previous: Option<PageId> = None;
-    for &page in pages {
-        match previous {
-            Some(prev) if prev.is_followed_by(page) => {}
-            _ => fragments += 1,
-        }
-        previous = Some(page);
-    }
-    fragments
+/// The pages of a run of whole extents, as one page run.
+pub const fn extent_pages(extents: Extent) -> Extent {
+    Extent::new(
+        extents.start * PAGES_PER_EXTENT,
+        extents.len * PAGES_PER_EXTENT,
+    )
 }
 
-/// Groups a logical page list into physically contiguous `(first_page, count)`
-/// runs, preserving logical order.
-pub fn page_runs(pages: &[PageId]) -> Vec<(PageId, u64)> {
-    let mut runs: Vec<(PageId, u64)> = Vec::new();
-    for &page in pages {
-        match runs.last_mut() {
-            Some((first, count)) if PageId(first.0 + *count - 1).is_followed_by(page) => {
-                *count += 1
-            }
-            _ => runs.push((page, 1)),
+/// Coalesces a layout kept in logical order in place: empty runs go, and a
+/// run that physically continues its predecessor merges into it.  In a
+/// coalesced layout the fragment count is the run count.
+pub(crate) fn coalesce(runs: &mut Vec<Extent>) {
+    runs.retain(|run| !run.is_empty());
+    runs.dedup_by(|next, last| {
+        let continues = last.is_followed_by(next);
+        if continues {
+            last.len += next.len;
         }
-    }
-    runs
+        continues
+    });
 }
 
 #[cfg(test)]
@@ -129,25 +121,35 @@ mod tests {
 
     #[test]
     fn fragment_counting() {
-        assert_eq!(fragment_count(&[]), 0);
-        assert_eq!(fragment_count(&[PageId(3)]), 1);
-        assert_eq!(fragment_count(&[PageId(3), PageId(4), PageId(5)]), 1);
-        assert_eq!(fragment_count(&[PageId(3), PageId(5), PageId(6)]), 2);
-        assert_eq!(fragment_count(&[PageId(9), PageId(3), PageId(4)]), 2);
+        let layout = |runs: &[Extent]| {
+            let mut layout = runs.to_vec();
+            coalesce(&mut layout);
+            layout
+        };
+        assert!(layout(&[]).is_empty());
+        assert!(layout(&[Extent::new(3, 0)]).is_empty());
+        assert_eq!(layout(&[Extent::new(3, 1)]).len(), 1);
+        assert_eq!(layout(&[Extent::new(3, 1), Extent::new(4, 2)]).len(), 1);
+        assert_eq!(layout(&[Extent::new(3, 1), Extent::new(5, 2)]).len(), 2);
+        assert_eq!(layout(&[Extent::new(9, 1), Extent::new(3, 2)]).len(), 2);
     }
 
     #[test]
     fn run_grouping() {
-        let runs = page_runs(&[
-            PageId(3),
-            PageId(4),
-            PageId(10),
-            PageId(11),
-            PageId(12),
-            PageId(2),
-        ]);
-        assert_eq!(runs, vec![(PageId(3), 2), (PageId(10), 3), (PageId(2), 1)]);
-        assert!(page_runs(&[]).is_empty());
+        let mut runs = vec![
+            Extent::new(3, 2),
+            Extent::new(7, 0),
+            Extent::new(10, 1),
+            Extent::new(11, 2),
+            Extent::new(2, 1),
+        ];
+        coalesce(&mut runs);
+        assert_eq!(
+            runs,
+            vec![Extent::new(3, 2), Extent::new(10, 3), Extent::new(2, 1)],
+            "only forward-adjacent runs merge; logical order is kept"
+        );
+        assert_eq!(extent_pages(Extent::new(2, 3)), Extent::new(16, 24));
     }
 
     #[test]

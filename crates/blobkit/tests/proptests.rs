@@ -3,7 +3,8 @@
 
 use std::collections::BTreeMap;
 
-use lor_blobkit::{AllocationUnit, Database, EngineConfig, Gam, PageId, PAGES_PER_EXTENT};
+use lor_alloc::Extent;
+use lor_blobkit::{AllocationUnit, Database, EngineConfig, Gam, PAGES_PER_EXTENT};
 use lor_core_free_space_oracle::combined_free_runs;
 use proptest::prelude::*;
 
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 /// against the exhaustive bitmap oracle.
 mod lor_core_free_space_oracle {
     use lor_alloc::{Extent, ExtentListExt, FreeSpace};
-    use lor_blobkit::{AllocationUnit, Gam, PAGES_PER_EXTENT};
+    use lor_blobkit::{extent_pages, AllocationUnit, Gam};
 
     /// The engine's page-granular free space, merged across its two levels:
     /// free pages inside the unit's assigned extents, plus every page of
@@ -19,12 +20,7 @@ mod lor_core_free_space_oracle {
     /// i.e. in the same canonical form `FreeSpace::free_runs` uses.
     pub fn combined_free_runs(unit: &AllocationUnit, gam: &Gam) -> Vec<Extent> {
         let mut runs: Vec<Extent> = unit.free_space().free_runs();
-        runs.extend(
-            gam.free_space()
-                .free_runs()
-                .into_iter()
-                .map(|run| Extent::new(run.start * PAGES_PER_EXTENT, run.len * PAGES_PER_EXTENT)),
-        );
+        runs.extend(gam.free_space().free_runs().into_iter().map(extent_pages));
         runs.sort_by_key(|run| run.start);
         runs.coalesced()
     }
@@ -32,6 +28,11 @@ mod lor_core_free_space_oracle {
 
 const MB: u64 = 1 << 20;
 const FILE_BYTES: u64 = 64 * MB;
+
+/// Every page of a layout, in logical order.
+fn pages_of(runs: &[Extent]) -> impl Iterator<Item = u64> + '_ {
+    runs.iter().flat_map(|run| run.start..run.end())
+}
 
 #[derive(Debug, Clone)]
 enum DbOp {
@@ -60,16 +61,28 @@ fn arb_op() -> impl Strategy<Value = DbOp> {
 /// Verifies the engine against a shadow model (key -> size).
 fn check_invariants(db: &Database, live: &BTreeMap<String, u64>) -> Result<(), TestCaseError> {
     prop_assert_eq!(db.object_count(), live.len());
-    let mut seen_pages: std::collections::HashSet<PageId> = std::collections::HashSet::new();
+    let mut seen_pages: std::collections::HashSet<u64> = std::collections::HashSet::new();
     for (key, &size) in live {
         let record = db.get(key).expect("live key resolves");
         prop_assert_eq!(record.size_bytes, size);
         prop_assert_eq!(record.page_count(), db.config().pages_for(size));
+        prop_assert_eq!(pages_of(record.runs()).count() as u64, record.page_count());
+        // The layout is coalesced: one run per fragment.
+        prop_assert!(record.runs().iter().all(|run| run.len > 0));
+        prop_assert!(
+            record
+                .runs()
+                .windows(2)
+                .all(|pair| !pair[0].is_followed_by(&pair[1])),
+            "layout {:?} is not coalesced",
+            record.runs()
+        );
+        prop_assert_eq!(record.fragment_count(), record.runs().len());
         // No page is shared between live objects.
-        for page in &record.pages {
-            prop_assert!(seen_pages.insert(*page), "page {page} stored twice");
+        for page in pages_of(record.runs()) {
+            prop_assert!(seen_pages.insert(page), "page {page} stored twice");
             prop_assert!(
-                page.0 < db.config().total_pages(),
+                page < db.config().total_pages(),
                 "page {page} outside the data file"
             );
         }
@@ -232,15 +245,32 @@ fn check_against_oracle(
     let mut gam = Gam::with_policy(TOTAL_EXTENTS, policy);
     let mut unit = AllocationUnit::with_policy(lor_blobkit::PageKind::LobData, TOTAL_PAGES, policy);
     let mut oracle = BitmapMap::new_free(TOTAL_PAGES);
-    let mut live: Vec<Vec<PageId>> = Vec::new();
+    let mut live: Vec<Vec<Extent>> = Vec::new();
+    // Frees a layout run by run in the unit and page by page in the oracle.
+    let free_layout = |unit: &mut AllocationUnit,
+                       gam: &mut Gam,
+                       oracle: &mut BitmapMap,
+                       runs: Vec<Extent>|
+     -> Result<(), TestCaseError> {
+        for run in runs {
+            unit.free_run(gam, run);
+            for page in run.start..run.end() {
+                prop_assert!(
+                    oracle.release(Extent::new(page, 1)).is_ok(),
+                    "oracle agrees page {page} was used"
+                );
+            }
+        }
+        Ok(())
+    };
 
     for op in ops.iter().cloned() {
         match op {
             SpaceOp::Insert { pages } => {
                 if let Ok(allocated) = unit.allocate_pages(&mut gam, pages) {
-                    for page in &allocated {
+                    for page in pages_of(&allocated) {
                         oracle
-                            .reserve(Extent::new(page.0, 1))
+                            .reserve(Extent::new(page, 1))
                             .expect("oracle agrees the page was free");
                     }
                     live.push(allocated);
@@ -252,18 +282,13 @@ fn check_against_oracle(
                 }
                 let slot = index % live.len();
                 if let Ok(allocated) = unit.allocate_pages(&mut gam, pages) {
-                    for page in &allocated {
+                    for page in pages_of(&allocated) {
                         oracle
-                            .reserve(Extent::new(page.0, 1))
+                            .reserve(Extent::new(page, 1))
                             .expect("oracle agrees the page was free");
                     }
                     let ghosts = std::mem::replace(&mut live[slot], allocated);
-                    for page in ghosts {
-                        unit.free_page(&mut gam, page);
-                        oracle
-                            .release(Extent::new(page.0, 1))
-                            .expect("oracle agrees the page was used");
-                    }
+                    free_layout(&mut unit, &mut gam, &mut oracle, ghosts)?;
                 }
             }
             SpaceOp::Cleanup { index } => {
@@ -271,12 +296,7 @@ fn check_against_oracle(
                     continue;
                 }
                 let ghosts = live.swap_remove(index % live.len());
-                for page in ghosts {
-                    unit.free_page(&mut gam, page);
-                    oracle
-                        .release(Extent::new(page.0, 1))
-                        .expect("oracle agrees the page was used");
-                }
+                free_layout(&mut unit, &mut gam, &mut oracle, ghosts)?;
             }
         }
 
@@ -306,12 +326,7 @@ fn check_against_oracle(
 
     // Teardown: free everything and both levels drain back to fully free.
     for object in live.drain(..) {
-        for page in object {
-            unit.free_page(&mut gam, page);
-            oracle
-                .release(Extent::new(page.0, 1))
-                .expect("oracle agrees the page was used");
-        }
+        free_layout(&mut unit, &mut gam, &mut oracle, object)?;
     }
     prop_assert_eq!(gam.free_extent_count(), TOTAL_EXTENTS);
     prop_assert_eq!(unit.free_page_count(), 0);
@@ -510,6 +525,198 @@ proptest! {
                 }
             }
             prop_assert_eq!(db.fragmentation(), db.fragmentation_rescan());
+        }
+    }
+}
+
+/// Page-at-a-time reference model of the engine's native placement rules,
+/// on plain per-page and per-extent flags:
+///
+/// * an allocation continues into the page after its last one if that page
+///   is free in an owned extent or its extent is unassigned;
+/// * otherwise it takes the lowest free page in an owned extent;
+/// * otherwise the first page of the lowest unassigned extent;
+/// * a page whose extent is unassigned assigns the extent when taken, and an
+///   extent returns to the GAM the moment its last page is freed.
+struct NativeModel {
+    /// Per page: holds data.
+    used: Vec<bool>,
+    /// Per extent: assigned to the unit.
+    owned: Vec<bool>,
+}
+
+impl NativeModel {
+    fn new(total_extents: u64) -> Self {
+        NativeModel {
+            used: vec![false; (total_extents * PAGES_PER_EXTENT) as usize],
+            owned: vec![false; total_extents as usize],
+        }
+    }
+
+    fn owned(&self, page: u64) -> bool {
+        self.owned[(page / PAGES_PER_EXTENT) as usize]
+    }
+
+    /// `true` if an allocation may take `page` (free in an owned extent, or
+    /// in an unassigned one).
+    fn takeable(&self, page: u64) -> bool {
+        (page as usize) < self.used.len() && !self.used[page as usize]
+    }
+
+    fn available(&self) -> u64 {
+        (0..self.used.len() as u64)
+            .filter(|&page| self.takeable(page))
+            .count() as u64
+    }
+
+    fn allocate(&mut self, count: u64) -> Option<Vec<u64>> {
+        if count > self.available() {
+            return None;
+        }
+        let total = self.used.len() as u64;
+        let mut pages: Vec<u64> = Vec::new();
+        while (pages.len() as u64) < count {
+            let page = pages
+                .last()
+                .map(|last| last + 1)
+                .filter(|&next| self.takeable(next))
+                .or_else(|| (0..total).find(|&page| self.owned(page) && self.takeable(page)))
+                .or_else(|| (0..total).find(|&page| !self.owned(page)))
+                .expect("available() covers the request");
+            self.owned[(page / PAGES_PER_EXTENT) as usize] = true;
+            self.used[page as usize] = true;
+            pages.push(page);
+        }
+        Some(pages)
+    }
+
+    fn free(&mut self, page: u64) {
+        assert!(self.used[page as usize], "page {page} freed twice");
+        self.used[page as usize] = false;
+        let extent = page / PAGES_PER_EXTENT;
+        let first = (extent * PAGES_PER_EXTENT) as usize;
+        if self.used[first..first + PAGES_PER_EXTENT as usize]
+            .iter()
+            .all(|used| !used)
+        {
+            self.owned[extent as usize] = false;
+        }
+    }
+
+    /// The model's free space as coalesced page runs: free pages of owned
+    /// extents plus every page of every unassigned extent.
+    fn free_runs(&self) -> Vec<Extent> {
+        let mut runs: Vec<Extent> = Vec::new();
+        for page in (0..self.used.len() as u64).filter(|&page| self.takeable(page)) {
+            match runs.last_mut() {
+                Some(last) if last.end() == page => last.len += 1,
+                _ => runs.push(Extent::new(page, 1)),
+            }
+        }
+        runs
+    }
+}
+
+/// One operation of the placement-oracle workload at the allocation-unit
+/// level: the engine's write mix plus its ghost backlog, drained tail-first.
+#[derive(Debug, Clone)]
+enum PlacementOp {
+    /// Allocate pages for a new object.
+    Insert { pages: u64 },
+    /// Allocate the replacement version, then ghost the old one.
+    Update { index: usize, pages: u64 },
+    /// Ghost an object's pages.
+    Free { index: usize },
+    /// Free the `pages` highest ghost pages (0 = the whole backlog).
+    Cleanup { pages: u64 },
+}
+
+fn arb_placement_op() -> impl Strategy<Value = PlacementOp> {
+    prop_oneof![
+        4 => (1u64..48).prop_map(|pages| PlacementOp::Insert { pages }),
+        4 => (0usize..64, 1u64..48).prop_map(|(index, pages)| PlacementOp::Update { index, pages }),
+        2 => (0usize..64).prop_map(|index| PlacementOp::Free { index }),
+        2 => (0u64..40).prop_map(|pages| PlacementOp::Cleanup { pages }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `AllocationUnit::allocate_pages` places every page exactly where the
+    /// page-at-a-time reference model of the native rules does, and the
+    /// run-granular frees (whole ghost runs, split at the budget) leave the
+    /// unit, the GAM and the IAM chain exactly where page-at-a-time frees
+    /// leave the model.
+    #[test]
+    fn native_placement_matches_the_page_at_a_time_model(
+        ops in prop::collection::vec(arb_placement_op(), 1..80)
+    ) {
+        const TOTAL_EXTENTS: u64 = 64;
+        let mut gam = Gam::new(TOTAL_EXTENTS);
+        let mut unit = AllocationUnit::new(
+            lor_blobkit::PageKind::LobData,
+            TOTAL_EXTENTS * PAGES_PER_EXTENT,
+        );
+        let mut model = NativeModel::new(TOTAL_EXTENTS);
+        let mut live: Vec<Vec<Extent>> = Vec::new();
+        let mut ghosts: Vec<Extent> = Vec::new();
+
+        for op in ops {
+            let pages = match op {
+                PlacementOp::Insert { pages } | PlacementOp::Update { pages, .. } => pages,
+                PlacementOp::Free { .. } | PlacementOp::Cleanup { .. } => 0,
+            };
+            if pages > 0 {
+                let allocated = unit.allocate_pages(&mut gam, pages).ok();
+                let expected = model.allocate(pages);
+                prop_assert_eq!(
+                    allocated.as_ref().map(|runs| pages_of(runs).collect::<Vec<_>>()),
+                    expected
+                );
+                let Some(runs) = allocated else { continue };
+                prop_assert!(
+                    runs.windows(2).all(|pair| !pair[0].is_followed_by(&pair[1])),
+                    "allocation {runs:?} is not coalesced"
+                );
+                match op {
+                    PlacementOp::Update { index, .. } if !live.is_empty() => {
+                        let slot = index % live.len();
+                        ghosts.extend(std::mem::replace(&mut live[slot], runs));
+                    }
+                    _ => live.push(runs),
+                }
+            }
+            match op {
+                PlacementOp::Free { index } if !live.is_empty() => {
+                    ghosts.extend(live.swap_remove(index % live.len()));
+                }
+                PlacementOp::Cleanup { pages } => {
+                    let backlog: u64 = ghosts.iter().map(|run| run.len).sum();
+                    let mut left = if pages == 0 { backlog } else { pages.min(backlog) };
+                    ghosts.sort_by_key(|run| run.start);
+                    while left > 0 {
+                        let last = ghosts.last_mut().expect("backlog covers the budget");
+                        let freed = if last.len <= left {
+                            ghosts.pop().expect("just seen")
+                        } else {
+                            last.len -= left;
+                            Extent::new(last.end(), left)
+                        };
+                        unit.free_run(&mut gam, freed);
+                        for page in freed.start..freed.end() {
+                            model.free(page);
+                        }
+                        left -= freed.len;
+                    }
+                }
+                _ => {}
+            }
+            prop_assert_eq!(combined_free_runs(&unit, &gam), model.free_runs());
+            let owned: Vec<u64> = (0..TOTAL_EXTENTS)
+                .filter(|&extent| model.owned[extent as usize])
+                .collect();
+            prop_assert_eq!(unit.extents().map(|extent| extent.0).collect::<Vec<_>>(), owned);
         }
     }
 }

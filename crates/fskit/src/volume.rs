@@ -361,6 +361,10 @@ impl Volume {
 
     /// Creates a file and writes `size_bytes` of data in `write_request_size`
     /// chunks — the workload's put path.
+    ///
+    /// A write the volume cannot hold fails whole: the partially written
+    /// file is rolled back ([`Volume::discard`]), so the name stays free and
+    /// the free space is what it was before the write.
     pub fn write_file(
         &mut self,
         name: &str,
@@ -368,13 +372,21 @@ impl Volume {
         write_request_size: u64,
     ) -> Result<WriteReceipt, FsError> {
         let id = self.create(name)?;
-        let receipt = self.fill(id, size_bytes, write_request_size)?;
+        let receipt = match self.fill(id, size_bytes, write_request_size) {
+            Ok(receipt) => receipt,
+            Err(err) => {
+                self.discard(id);
+                return Err(err);
+            }
+        };
         self.bump_op();
         Ok(receipt)
     }
 
     /// Creates a file whose final size is declared up front, allocating all of
     /// it in a single request — the interface extension the paper proposes.
+    /// A refused allocation rolls the created file back, as in
+    /// [`Volume::write_file`].
     pub fn write_file_preallocated(
         &mut self,
         name: &str,
@@ -384,7 +396,13 @@ impl Volume {
         let id = self.create(name)?;
         let clusters = size_bytes.div_ceil(self.config.cluster_size);
         if clusters > 0 {
-            let extents = self.allocate_with_pressure(&AllocRequest::best_effort(clusters))?;
+            let extents = match self.allocate_with_pressure(&AllocRequest::best_effort(clusters)) {
+                Ok(extents) => extents,
+                Err(err) => {
+                    self.discard(id);
+                    return Err(err);
+                }
+            };
             self.stats.allocation_events += 1;
             self.with_layout(id, |record| record.push_extents(&extents))?;
         }
@@ -393,6 +411,22 @@ impl Volume {
         let receipt = self.fill(id, size_bytes, write_request_size)?;
         self.bump_op();
         Ok(receipt)
+    }
+
+    /// Rolls back a file whose write was refused: the name is released and
+    /// the clusters it received — which never held committed data — return
+    /// to the free pool at once, as [`Volume::trim_excess`] returns unused
+    /// preallocation, rather than waiting in the pending-free queue.
+    fn discard(&mut self, id: FileId) {
+        let record = self.files.remove(&id).expect("the discarded file exists");
+        self.untrack(&record);
+        self.names.remove(&record.name);
+        self.stats.files_deleted += 1;
+        if !record.extents.is_empty() {
+            self.allocator
+                .free(&record.extents)
+                .expect("a live file's clusters are allocated");
+        }
     }
 
     /// Creates a file for an object migrating in from another shard, placing
@@ -917,6 +951,43 @@ mod tests {
         volume.delete(id).unwrap();
         assert!(volume.lookup("object-1").is_err());
         assert!(volume.read_plan(id).is_err());
+    }
+
+    #[test]
+    fn refused_writes_leave_no_file_and_no_lost_space() {
+        let mut volume = Volume::format(VolumeConfig::new(16 * MB)).unwrap();
+        volume.write_file("resident", 8 * MB, 64 * 1024).unwrap();
+        let free_before = volume.free_bytes();
+        let allocator_free_before = volume.free_space().free_clusters();
+        let files_before = volume.file_count();
+
+        // The streamed write runs out of space part-way through.
+        assert!(matches!(
+            volume.write_file("too-big", 12 * MB, 64 * 1024),
+            Err(FsError::Alloc(_))
+        ));
+        // The preallocated write is refused up front.
+        assert!(matches!(
+            volume.write_file_preallocated("too-big-too", 12 * MB, 64 * 1024),
+            Err(FsError::Alloc(_))
+        ));
+        for name in ["too-big", "too-big-too"] {
+            assert!(volume.lookup(name).is_err(), "{name} must not resolve");
+        }
+        assert_eq!(volume.file_count(), files_before);
+        assert_eq!(volume.free_bytes(), free_before);
+        assert_eq!(
+            volume.free_space().free_clusters(),
+            allocator_free_before,
+            "the refused writes' clusters are reusable at once"
+        );
+        assert_eq!(volume.fragmentation(), volume.fragmentation_rescan());
+
+        // The names and the space are genuinely free again.
+        volume.write_file("too-big", 4 * MB, 64 * 1024).unwrap();
+        volume
+            .write_file_preallocated("too-big-too", 2 * MB, 64 * 1024)
+            .unwrap();
     }
 
     #[test]
