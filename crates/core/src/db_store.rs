@@ -1,14 +1,15 @@
 //! The database-backed object store (one out-of-row BLOB per object).
 
-use lor_blobkit::{Database, EngineConfig};
-use lor_disksim::{Disk, DiskConfig, IoRequest, ServiceTime, SimClock, SimDuration};
-use lor_maint::{MaintenanceConfig, MaintenanceStats};
-use lor_obs::Obs;
+use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport, PlacementPolicy};
+use lor_blobkit::{Database, DbWriteReceipt, EngineConfig};
+use lor_disksim::{DiskConfig, IoRequest, SimDuration};
+use lor_maint::{MaintIo, MaintSubstrate, MaintenanceConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
-use crate::maintenance::{DbMaintTarget, MaintenanceState};
-use crate::store::{CostModel, ObjectStore, OpReceipt, StoreKind};
+use crate::maintenance::UNITS_PER_METADATA_IO;
+use crate::shell::{Costs, IoPlan, Store, Substrate, WriteKind};
+use crate::store::{CostModel, StoreKind};
 
 /// Configuration of a database-backed store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,45 +45,25 @@ impl DbStoreConfig {
 }
 
 /// Objects stored as out-of-row BLOBs in the SQL-Server-like engine.
+pub type DbObjectStore = Store<DbSubstrate>;
+
+/// The SQL-Server-like engine as a store substrate: one out-of-row BLOB per
+/// object, wholesale BLOB replacement as the safe write.
 #[derive(Debug)]
-pub struct DbObjectStore {
-    db: Database,
-    disk: Disk,
-    cost: CostModel,
-    clock: SimClock,
-    write_request_size: u64,
-    maintenance: Option<MaintenanceState>,
+pub struct DbSubstrate {
+    pub(crate) db: Database,
 }
 
 impl DbObjectStore {
     /// Creates a store from an explicit configuration.
-    pub fn with_config(mut config: DbStoreConfig) -> Result<Self, StoreError> {
-        if config.write_request_size == 0 {
-            return Err(StoreError::BadConfig(
-                "write request size must be non-zero".into(),
-            ));
-        }
-        let maintenance = match config.maintenance {
-            Some(maint_config) => {
-                maint_config
-                    .validate()
-                    .map_err(|message| StoreError::BadConfig(message.into()))?;
-                // The scheduler owns ghost cleanup now; only the
-                // allocation-pressure emergency path stays in the engine.
-                config.engine.ghost_cleanup_interval_ops = 0;
-                Some(MaintenanceState::new(maint_config))
-            }
-            None => None,
-        };
-        let db = Database::create(config.engine)?;
-        Ok(DbObjectStore {
-            db,
-            disk: Disk::new(config.disk),
-            cost: config.cost,
-            clock: SimClock::new(),
-            write_request_size: config.write_request_size,
-            maintenance,
-        })
+    pub fn with_config(config: DbStoreConfig) -> Result<Self, StoreError> {
+        Store::build(
+            config.engine,
+            config.disk,
+            config.write_request_size,
+            config.cost,
+            config.maintenance,
+        )
     }
 
     /// Creates a store with a data file of `capacity_bytes` and defaults.
@@ -92,152 +73,100 @@ impl DbObjectStore {
 
     /// The underlying engine (read-only).
     pub fn database(&self) -> &Database {
-        &self.db
+        &self.substrate.db
     }
 
     /// Mutable access to the underlying engine, for fixtures.
     pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-
-    /// The underlying disk model (read-only).
-    pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
-
-    fn charge(&mut self, disk_time: ServiceTime, host_time: SimDuration) {
-        self.clock.advance(disk_time.total() + host_time);
-    }
-
-    /// Reports a completed mutating operation of duration `op_time` to the
-    /// background scheduler (if any) and charges whatever background I/O it
-    /// performed to the foreground clock — the single spindle serializes
-    /// foreground and maintenance work.
-    fn after_mutating_op(&mut self, op_time: SimDuration) {
-        let Some(state) = self.maintenance.as_mut() else {
-            return;
-        };
-        if state.scheduler.config().server_driven {
-            // The request scheduler owns the drive: it calls
-            // `maintenance_slice` and models the overlap itself.
-            return;
-        }
-        let mut target = DbMaintTarget {
-            db: &mut self.db,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        let interference = state.scheduler.on_foreground_op(op_time, &mut target);
-        self.clock.advance(interference);
-    }
-
-    fn write_receipt(
-        &mut self,
-        runs: Vec<lor_disksim::ByteRun>,
-        pages: u64,
-        size_bytes: u64,
-    ) -> OpReceipt {
-        let request = IoRequest::write_runs(runs);
-        let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = self.cost.db_write_host_time(pages, size_bytes);
-        self.charge(disk_time, host_time);
-        let receipt = OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
-        };
-        self.after_mutating_op(receipt.total_time());
-        receipt
+        &mut self.substrate.db
     }
 }
 
-impl ObjectStore for DbObjectStore {
-    fn kind(&self) -> StoreKind {
-        StoreKind::Database
-    }
-
-    fn put(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self.db.insert(key, size_bytes)?;
-        Ok(self.write_receipt(receipt.runs, receipt.pages_written, size_bytes))
-    }
-
-    fn get(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let record = self.db.get(key)?;
-        let size = record.size_bytes;
-        let pages = record.page_count();
-        let runs = record.byte_runs(self.db.config().page_size, self.db.config().base_offset);
-        let request = IoRequest::read_runs(runs);
-        let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = self.cost.db_read_host_time(pages, size);
-        self.charge(disk_time, host_time);
-        Ok(OpReceipt {
-            payload_bytes: size,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
-        })
-    }
-
-    fn safe_write(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self.db.update(key, size_bytes)?;
-        Ok(self.write_receipt(receipt.runs, receipt.pages_written, size_bytes))
-    }
-
-    fn safe_write_batch(&mut self, items: &[(String, u64)]) -> Result<Vec<OpReceipt>, StoreError> {
-        let borrowed: Vec<(&str, u64)> = items.iter().map(|(k, s)| (k.as_str(), *s)).collect();
-        let receipts = self.db.update_batch(&borrowed, self.write_request_size)?;
-        let out = receipts
-            .into_iter()
-            .map(|receipt| {
-                self.write_receipt(receipt.runs, receipt.pages_written, receipt.bytes_written)
-            })
-            .collect();
-        Ok(out)
-    }
-
-    fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        self.db.delete(key)?;
-        let host_time = self.cost.db_lookup_time;
-        self.charge(ServiceTime::default(), host_time);
-        let receipt = OpReceipt {
-            host_time,
-            ..OpReceipt::default()
-        };
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
-    }
-
-    fn migrate_in(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self.db.insert_as_maintenance(key, size_bytes)?;
-        let request = IoRequest::write_runs(receipt.runs);
-        let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = self
+/// The write of `receipt`, priced per page and client chunk.
+fn write_plan(receipt: DbWriteReceipt, costs: Costs<'_>) -> IoPlan {
+    IoPlan {
+        request: IoRequest::write_runs(receipt.runs),
+        extra_bytes: 0,
+        payload_bytes: receipt.bytes_written,
+        host_time: costs
             .cost
-            .db_write_host_time(receipt.pages_written, size_bytes);
-        self.charge(disk_time, host_time);
-        // No `after_mutating_op`: migration *is* maintenance, so it must not
-        // tick the destination's own maintenance scheduler.
-        Ok(OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
+            .db_write_host_time(receipt.pages_written, receipt.bytes_written),
+        placement: (),
+    }
+}
+
+impl Substrate for DbSubstrate {
+    type Config = EngineConfig;
+    type Placement = ();
+
+    const KIND: StoreKind = StoreKind::Database;
+    const DISK_LABEL: &'static str = "db-store";
+    // The engine's lowest-first page reuse recycles released ghost space
+    // immediately — the eager-cleanup pathology the `SubstrateAware`
+    // policy's deferred release exists to break.
+    const MAINT_SUBSTRATE: MaintSubstrate = MaintSubstrate::EagerReuse;
+
+    fn open(config: EngineConfig) -> Result<Self, StoreError> {
+        Ok(DbSubstrate {
+            db: Database::create(config)?,
         })
     }
 
-    fn contains(&self, key: &str) -> bool {
-        self.db.get(key).is_ok()
+    fn hand_interval_duties_to_scheduler(config: &mut EngineConfig) {
+        // The scheduler owns ghost cleanup; only the allocation-pressure
+        // emergency path stays in the engine.
+        config.ghost_cleanup_interval_ops = 0;
+    }
+
+    fn write(
+        &mut self,
+        kind: WriteKind,
+        key: &str,
+        size_bytes: u64,
+        costs: Costs<'_>,
+    ) -> Result<IoPlan, StoreError> {
+        let receipt = match kind {
+            WriteKind::Put => self.db.insert(key, size_bytes)?,
+            WriteKind::SafeWrite => self.db.update(key, size_bytes)?,
+            WriteKind::MigrateIn => self.db.insert_as_maintenance(key, size_bytes)?,
+        };
+        Ok(write_plan(receipt, costs))
+    }
+
+    fn safe_write_batch(
+        &mut self,
+        items: &[(String, u64)],
+        costs: Costs<'_>,
+    ) -> Option<Result<Vec<IoPlan>, StoreError>> {
+        let borrowed: Vec<(&str, u64)> = items.iter().map(|(k, s)| (k.as_str(), *s)).collect();
+        Some(
+            self.db
+                .update_batch(&borrowed, costs.write_request_size)
+                .map(|receipts| {
+                    receipts
+                        .into_iter()
+                        .map(|receipt| write_plan(receipt, costs))
+                        .collect()
+                })
+                .map_err(StoreError::from),
+        )
+    }
+
+    fn delete(&mut self, key: &str, cost: &CostModel) -> Result<SimDuration, StoreError> {
+        self.db.delete(key)?;
+        Ok(cost.db_lookup_time)
+    }
+
+    fn read(&self, key: &str, cost: &CostModel) -> Result<IoPlan, StoreError> {
+        let record = self.db.get(key)?;
+        let config = self.db.config();
+        Ok(IoPlan {
+            request: IoRequest::read_runs(record.byte_runs(config.page_size, config.base_offset)),
+            extra_bytes: 0,
+            payload_bytes: record.size_bytes,
+            host_time: cost.db_read_host_time(record.page_count(), record.size_bytes),
+            placement: (),
+        })
     }
 
     fn object_count(&self) -> usize {
@@ -248,15 +177,7 @@ impl ObjectStore for DbObjectStore {
         self.db.iter_blobs().map(|b| b.key.clone()).collect()
     }
 
-    fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        Ok(self.db.get(key)?.size_bytes)
-    }
-
-    fn layout_of(&self, key: &str) -> Result<Vec<lor_disksim::ByteRun>, StoreError> {
-        Ok(self.db.read_plan(key)?)
-    }
-
-    fn fragmentation(&self) -> lor_alloc::FragmentationSummary {
+    fn fragmentation(&self) -> FragmentationSummary {
         self.db.fragmentation()
     }
 
@@ -268,90 +189,121 @@ impl ObjectStore for DbObjectStore {
         self.db.iter_blobs().map(|b| b.size_bytes).sum()
     }
 
-    fn elapsed(&self) -> SimDuration {
-        self.clock.now()
+    fn free_space_report(&self) -> FreeSpaceReport {
+        self.db.free_space_report()
     }
 
-    fn reset_measurements(&mut self) {
-        self.clock.reset();
-        self.disk.reset_measurements();
+    fn band_occupancy(&self) -> BandOccupancy {
+        self.db.band_occupancy()
     }
 
-    fn maintenance(&mut self) -> Result<u64, StoreError> {
-        let objects = self.db.object_count() as u64;
-        let copied = self.db.rebuild_into_new_filegroup()?;
-        // The rebuild reads every object and writes it back sequentially.
-        let transfer_rate = self
-            .disk
-            .config()
-            .transfer_rate_at(self.disk.config().capacity_bytes / 2);
-        let copy_time = SimDuration::from_secs_f64(2.0 * copied as f64 / transfer_rate);
-        let positioning = (self
-            .disk
-            .config()
-            .seek
-            .seek_time(self.disk.config().seek.cylinders / 3)
-            + self.disk.config().average_rotational_latency())
-            * objects;
-        self.charge(ServiceTime::default(), copy_time + positioning);
-        Ok(copied)
+    fn placement(&self) -> PlacementPolicy {
+        self.db.config().placement
     }
 
-    fn write_request_size(&self) -> u64 {
-        self.write_request_size
+    fn reclaimable_bytes(&self) -> u64 {
+        self.db.ghost_page_count() * self.db.config().page_size
     }
 
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.stats())
+    fn checkpoint(&mut self, costs: Costs<'_>) -> MaintIo {
+        // Bulk-logged mode: the periodic checkpoint is a log force.
+        costs.log_force()
     }
 
-    fn maintenance_config(&self) -> Option<MaintenanceConfig> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.config())
-    }
-
-    fn maintenance_slice(&mut self, budget_bytes: u64, now: SimDuration) -> lor_maint::MaintIo {
-        let Some(state) = self.maintenance.as_mut() else {
-            return lor_maint::MaintIo::NONE;
-        };
-        let mut target = DbMaintTarget {
-            db: &mut self.db,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        state
-            .scheduler
-            .run_budgeted_slice(&mut target, budget_bytes, now)
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        self.disk.set_obs(obs.clone(), "db-store");
-        if let Some(state) = self.maintenance.as_mut() {
-            state.scheduler.set_obs(obs);
+    fn ghost_cleanup(&mut self, budget_bytes: u64, costs: Costs<'_>) -> MaintIo {
+        if self.db.ghost_page_count() == 0 {
+            return MaintIo::NONE;
         }
+        let page_size = self.db.config().page_size.max(1);
+        // The cleanup task *visits* each ghosted page (a read-modify-write
+        // clearing the ghost record and its PFS/IAM bits), so a budgeted pass
+        // reclaims at most the budget's worth of page visits — at least one,
+        // so a pass always makes progress — and a big backlog drains over
+        // several passes.  The engine releases the selected pages tail-first
+        // (highest offsets), keeping the backlog's low-offset holes away from
+        // its lowest-first reuse; see `ghost_cleanup_limited` and the
+        // small-budget pathology recorded in EXPERIMENTS.md.
+        let max_pages = (budget_bytes / page_size).max(1);
+        let reclaimed = self.db.ghost_cleanup_limited(max_pages);
+        let visit_bytes = reclaimed.saturating_mul(page_size);
+        let visits = costs
+            .disk
+            .background_copy_time(visit_bytes, 1 + reclaimed / UNITS_PER_METADATA_IO);
+        let sweep = costs.metadata_sweep(reclaimed);
+        MaintIo::new(visit_bytes + sweep.bytes, visits + sweep.time)
     }
 
-    fn free_space_report(&self) -> Option<lor_alloc::FreeSpaceReport> {
-        Some(self.db.free_space_report())
+    fn defragment_step(&mut self, budget_bytes: u64, costs: Costs<'_>) -> Option<MaintIo> {
+        let page_size = self.db.config().page_size.max(1);
+        // Each moved page is read once and written once.
+        let page_budget = (budget_bytes / (2 * page_size)).max(1);
+        let report = self.db.compact_step(page_budget);
+        (report.pages_moved > 0)
+            .then(|| costs.copy(report.pages_moved * page_size, report.blobs_moved))
     }
 
-    fn band_occupancy(&self) -> Option<lor_alloc::BandOccupancy> {
-        Some(self.db.band_occupancy())
+    fn maintenance(&mut self) -> Result<(u64, u64), StoreError> {
+        let objects = self.db.object_count() as u64;
+        // The rebuild reads every object and writes it back sequentially,
+        // one positioning delay per object.
+        let copied = self.db.rebuild_into_new_filegroup()?;
+        Ok((copied, objects))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shell::contract::{self, Case};
+    use crate::store::ObjectStore;
 
     const MB: u64 = 1 << 20;
 
     fn store() -> DbObjectStore {
         DbObjectStore::new(256 * MB).unwrap()
+    }
+
+    fn case() -> Case<DbSubstrate> {
+        Case {
+            kind: StoreKind::Database,
+            new: DbObjectStore::new,
+            zero_write_size: || {
+                DbObjectStore::with_config(DbStoreConfig {
+                    write_request_size: 0,
+                    ..DbStoreConfig::new(MB)
+                })
+            },
+            // Whole LOB pages, each holding a page's payload share.
+            footprint: |size| {
+                let engine = EngineConfig::new(256 * MB);
+                engine.pages_for(size) * engine.page_size
+            },
+        }
+    }
+
+    #[test]
+    fn put_get_safe_write_delete_cycle() {
+        contract::put_get_safe_write_delete_cycle(case());
+    }
+
+    #[test]
+    fn clock_accumulates_and_resets() {
+        contract::clock_accumulates_and_resets(case());
+    }
+
+    #[test]
+    fn errors_map_to_store_errors() {
+        contract::errors_map_to_store_errors(case());
+    }
+
+    #[test]
+    fn kind_capacity_and_keys() {
+        contract::kind_capacity_and_keys(case());
+    }
+
+    #[test]
+    fn layout_covers_the_object() {
+        contract::layout_covers_the_object(case());
     }
 
     #[test]
@@ -439,39 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn put_get_safe_write_delete_cycle() {
-        let mut store = store();
-        let put = store.put("a", MB).unwrap();
-        assert_eq!(put.payload_bytes, MB);
-        assert!(put.transferred_bytes >= MB, "whole pages are written");
-        assert!(store.contains("a"));
-
-        let get = store.get("a").unwrap();
-        assert_eq!(get.payload_bytes, MB);
-        assert_eq!(get.fragments, 1);
-        assert!(get.transferred_bytes >= MB);
-
-        let rewrite = store.safe_write("a", 2 * MB).unwrap();
-        assert_eq!(rewrite.payload_bytes, 2 * MB);
-        assert_eq!(store.size_of("a").unwrap(), 2 * MB);
-
-        store.delete("a").unwrap();
-        assert!(!store.contains("a"));
-        assert_eq!(store.object_count(), 0);
-    }
-
-    #[test]
-    fn clock_accumulates_and_resets() {
-        let mut store = store();
-        store.put("a", MB).unwrap();
-        store.get("a").unwrap();
-        assert!(store.elapsed() > SimDuration::ZERO);
-        store.reset_measurements();
-        assert_eq!(store.elapsed(), SimDuration::ZERO);
-        assert_eq!(store.disk().stats().total_requests(), 0);
-    }
-
-    #[test]
     fn maintenance_rebuild_leaves_objects_contiguous() {
         let mut store = store();
         for i in 0..16 {
@@ -489,38 +408,5 @@ mod tests {
         assert_eq!(copied, 16 * MB);
         let summary = store.fragmentation();
         assert!((summary.fragments_per_object - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn errors_map_to_store_errors() {
-        let mut store = store();
-        assert!(matches!(
-            store.get("missing"),
-            Err(StoreError::NoSuchObject(_))
-        ));
-        store.put("a", MB).unwrap();
-        assert!(matches!(
-            store.put("a", MB),
-            Err(StoreError::ObjectExists(_))
-        ));
-        let mut tiny = DbObjectStore::new(8 * MB).unwrap();
-        assert!(matches!(
-            tiny.put("big", 64 * MB),
-            Err(StoreError::OutOfSpace(_))
-        ));
-    }
-
-    #[test]
-    fn kind_capacity_and_keys() {
-        let mut store = store();
-        assert_eq!(store.kind(), StoreKind::Database);
-        assert!(store.data_capacity_bytes() > 200 * MB);
-        store.put("x", MB).unwrap();
-        store.put("y", MB).unwrap();
-        assert_eq!(store.keys().len(), 2);
-        assert_eq!(store.live_bytes(), 2 * MB);
-        assert_eq!(store.write_request_size(), 64 * 1024);
-        let layout = store.layout_of("x").unwrap();
-        assert!(layout.iter().map(|r| r.len).sum::<u64>() >= MB);
     }
 }

@@ -1,14 +1,15 @@
 //! The filesystem-backed object store (one file per object, safe writes).
 
-use lor_disksim::{Disk, DiskConfig, IoRequest, ServiceTime, SimClock, SimDuration};
-use lor_fskit::{Defragmenter, Volume, VolumeConfig};
-use lor_maint::{MaintenanceConfig, MaintenanceStats};
+use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport, PlacementPolicy};
+use lor_disksim::{DiskConfig, IoRequest, SimDuration};
+use lor_fskit::{DefragCursor, Defragmenter, FileId, Volume, VolumeConfig, WriteReceipt};
+use lor_maint::{MaintIo, MaintSubstrate, MaintenanceConfig};
 use lor_obs::Obs;
 use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
-use crate::maintenance::{FsMaintTarget, MaintenanceState};
-use crate::store::{CostModel, ObjectStore, OpReceipt, StoreKind};
+use crate::shell::{Costs, IoPlan, Store, Substrate, WriteKind};
+use crate::store::{CostModel, StoreKind};
 
 /// Configuration of a filesystem-backed store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,46 +45,27 @@ impl FsStoreConfig {
 }
 
 /// Objects stored as one file each on the NTFS-like volume.
+pub type FsObjectStore = Store<FsSubstrate>;
+
+/// The NTFS-like volume as a store substrate: one file per object, safe
+/// writes through a temporary file.
 #[derive(Debug)]
-pub struct FsObjectStore {
-    volume: Volume,
-    disk: Disk,
-    cost: CostModel,
-    clock: SimClock,
-    write_request_size: u64,
-    maintenance: Option<MaintenanceState>,
+pub struct FsSubstrate {
+    pub(crate) volume: Volume,
+    /// Resumable position of the incremental defragmentation pass.
+    cursor: DefragCursor,
 }
 
 impl FsObjectStore {
     /// Creates a store from an explicit configuration.
-    pub fn with_config(mut config: FsStoreConfig) -> Result<Self, StoreError> {
-        if config.write_request_size == 0 {
-            return Err(StoreError::BadConfig(
-                "write request size must be non-zero".into(),
-            ));
-        }
-        let maintenance = match config.maintenance {
-            Some(maint_config) => {
-                maint_config
-                    .validate()
-                    .map_err(|message| StoreError::BadConfig(message.into()))?;
-                // The scheduler owns checkpointing now; only the
-                // allocation-pressure emergency path stays interval-free in
-                // the substrate.
-                config.volume.checkpoint_interval_ops = 0;
-                Some(MaintenanceState::new(maint_config))
-            }
-            None => None,
-        };
-        let volume = Volume::format(config.volume)?;
-        Ok(FsObjectStore {
-            volume,
-            disk: Disk::new(config.disk),
-            cost: config.cost,
-            clock: SimClock::new(),
-            write_request_size: config.write_request_size,
-            maintenance,
-        })
+    pub fn with_config(config: FsStoreConfig) -> Result<Self, StoreError> {
+        Store::build(
+            config.volume,
+            config.disk,
+            config.write_request_size,
+            config.cost,
+            config.maintenance,
+        )
     }
 
     /// Creates a store on a volume of `capacity_bytes` with default settings.
@@ -94,192 +76,117 @@ impl FsObjectStore {
     /// The underlying volume (read-only), for fragmentation reports and test
     /// fixtures.
     pub fn volume(&self) -> &Volume {
-        &self.volume
+        &self.substrate.volume
     }
 
     /// Mutable access to the underlying volume, for fixtures such as the
     /// pathological fragmenter.
     pub fn volume_mut(&mut self) -> &mut Volume {
-        &mut self.volume
-    }
-
-    /// The underlying disk model (read-only).
-    pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
-
-    fn charge(&mut self, disk_time: ServiceTime, host_time: SimDuration) {
-        self.clock.advance(disk_time.total() + host_time);
-    }
-
-    fn write_requests_for(&self, size_bytes: u64) -> u64 {
-        size_bytes.div_ceil(self.write_request_size).max(1)
-    }
-
-    /// Reports a completed mutating operation of duration `op_time` to the
-    /// background scheduler (if any) and charges whatever background I/O it
-    /// performed to the foreground clock — the single spindle serializes
-    /// foreground and maintenance work.
-    fn after_mutating_op(&mut self, op_time: SimDuration) {
-        let Some(state) = self.maintenance.as_mut() else {
-            return;
-        };
-        if state.scheduler.config().server_driven {
-            // The request scheduler owns the drive: it calls
-            // `maintenance_slice` and models the overlap itself.
-            return;
-        }
-        let mut target = FsMaintTarget {
-            volume: &mut self.volume,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            cursor: &mut state.cursor,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        let interference = state.scheduler.on_foreground_op(op_time, &mut target);
-        self.clock.advance(interference);
+        &mut self.substrate.volume
     }
 }
 
-impl ObjectStore for FsObjectStore {
-    fn kind(&self) -> StoreKind {
-        StoreKind::Filesystem
-    }
-
-    fn put(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self
-            .volume
-            .write_file(key, size_bytes, self.write_request_size)?;
-        let request = IoRequest::write_runs(receipt.runs.iter().copied());
-        let transferred = request.total_bytes();
-        let disk_time = self.disk.service(&request);
-        let host_time = self
+/// The write of `receipt`, priced as a file create of its size.
+fn write_plan(receipt: WriteReceipt, costs: Costs<'_>) -> IoPlan<FileId> {
+    IoPlan {
+        request: IoRequest::write_runs(receipt.runs),
+        extra_bytes: 0,
+        payload_bytes: receipt.bytes_written,
+        host_time: costs
             .cost
-            .fs_write_host_time(self.write_requests_for(size_bytes));
-        self.charge(disk_time, host_time);
-        let fragments = self.volume.file(receipt.file_id)?.fragment_count() as u64;
-        let receipt = OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
-        };
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
+            .fs_write_host_time(costs.write_requests(receipt.bytes_written)),
+        placement: receipt.file_id,
     }
+}
 
-    fn get(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let id = self.volume.lookup(key)?;
-        let runs = self.volume.read_plan(id)?;
-        let request = IoRequest::read_runs(runs);
-        let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = self.cost.fs_read_host_time();
-        self.charge(disk_time, host_time);
-        Ok(OpReceipt {
-            payload_bytes: self.volume.file(id)?.size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
+impl Substrate for FsSubstrate {
+    type Config = VolumeConfig;
+    type Placement = FileId;
+
+    const KIND: StoreKind = StoreKind::Filesystem;
+    const DISK_LABEL: &'static str = "fs-store";
+    // Freed clusters are quarantined in the pending-free queue until a
+    // checkpoint, so eager release has no reuse pathology to trigger.
+    const MAINT_SUBSTRATE: MaintSubstrate = MaintSubstrate::DeferredReuse;
+
+    fn open(config: VolumeConfig) -> Result<Self, StoreError> {
+        Ok(FsSubstrate {
+            volume: Volume::format(config)?,
+            cursor: DefragCursor::new(),
         })
     }
 
-    fn safe_write(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self
-            .volume
-            .safe_write(key, size_bytes, self.write_request_size)?;
-        let request = IoRequest::write_runs(receipt.runs.iter().copied());
-        let transferred = request.total_bytes();
-        let disk_time = self.disk.service(&request);
-        let host_time = self
-            .cost
-            .fs_write_host_time(self.write_requests_for(size_bytes));
-        self.charge(disk_time, host_time);
-        let fragments = self.volume.file(receipt.file_id)?.fragment_count() as u64;
-        let receipt = OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
-        };
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
+    fn hand_interval_duties_to_scheduler(config: &mut VolumeConfig) {
+        // The scheduler owns checkpointing; only the allocation-pressure
+        // emergency path stays interval-free in the volume.
+        config.checkpoint_interval_ops = 0;
     }
 
-    fn safe_write_batch(&mut self, items: &[(String, u64)]) -> Result<Vec<OpReceipt>, StoreError> {
+    fn write(
+        &mut self,
+        kind: WriteKind,
+        key: &str,
+        size_bytes: u64,
+        costs: Costs<'_>,
+    ) -> Result<IoPlan<FileId>, StoreError> {
+        let request_size = costs.write_request_size;
+        let receipt = match kind {
+            WriteKind::Put => self.volume.write_file(key, size_bytes, request_size)?,
+            WriteKind::SafeWrite => self.volume.safe_write(key, size_bytes, request_size)?,
+            WriteKind::MigrateIn => self.volume.ingest_as_maintenance(key, size_bytes)?,
+        };
+        Ok(write_plan(receipt, costs))
+    }
+
+    fn safe_write_batch(
+        &mut self,
+        items: &[(String, u64)],
+        costs: Costs<'_>,
+    ) -> Option<Result<Vec<IoPlan<FileId>>, StoreError>> {
         let borrowed: Vec<(&str, u64)> = items.iter().map(|(k, s)| (k.as_str(), *s)).collect();
-        let receipts = self
-            .volume
-            .safe_write_batch(&borrowed, self.write_request_size)?;
-        let mut out = Vec::with_capacity(receipts.len());
-        for receipt in receipts {
-            let request = IoRequest::write_runs(receipt.runs.iter().copied());
-            let transferred = request.total_bytes();
-            let disk_time = self.disk.service(&request);
-            let host_time = self
-                .cost
-                .fs_write_host_time(self.write_requests_for(receipt.bytes_written));
-            self.charge(disk_time, host_time);
-            // When one batch names the same key twice, the later duplicate's
-            // commit replaces (and removes) the earlier item's just-committed
-            // file — last writer wins.  The earlier write still hit the disk,
-            // so count the fragments it physically produced.
-            let fragments = match self.volume.file(receipt.file_id) {
-                Ok(record) => record.fragment_count() as u64,
-                Err(_) => request.coalesced().fragment_count() as u64,
-            };
-            let receipt = OpReceipt {
-                payload_bytes: receipt.bytes_written,
-                transferred_bytes: transferred,
-                disk_time,
-                host_time,
-                fragments,
-            };
-            self.after_mutating_op(receipt.total_time());
-            out.push(receipt);
+        Some(
+            self.volume
+                .safe_write_batch(&borrowed, costs.write_request_size)
+                .map(|receipts| {
+                    receipts
+                        .into_iter()
+                        .map(|receipt| write_plan(receipt, costs))
+                        .collect()
+                })
+                .map_err(StoreError::from),
+        )
+    }
+
+    fn written_fragments(
+        &self,
+        write: &IoPlan<FileId>,
+        _obs: Option<&Obs>,
+        _now: SimDuration,
+    ) -> u64 {
+        // Count the committed file.  When one batch names the same key
+        // twice, the later duplicate's commit replaces (and removes) the
+        // earlier item's file — last writer wins; the earlier write still hit
+        // the disk, so count the fragments it physically produced.
+        match self.volume.file(write.placement) {
+            Ok(record) => record.fragment_count() as u64,
+            Err(_) => write.request.coalesced().fragment_count() as u64,
         }
-        Ok(out)
     }
 
-    fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
+    fn delete(&mut self, key: &str, cost: &CostModel) -> Result<SimDuration, StoreError> {
         self.volume.delete_by_name(key)?;
-        let host_time = self.cost.metadata_io_time;
-        self.charge(ServiceTime::default(), host_time);
-        let receipt = OpReceipt {
-            host_time,
-            ..OpReceipt::default()
-        };
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
+        Ok(cost.metadata_io_time)
     }
 
-    fn migrate_in(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self.volume.ingest_as_maintenance(key, size_bytes)?;
-        let request = IoRequest::write_runs(receipt.runs.iter().copied());
-        let transferred = request.total_bytes();
-        let disk_time = self.disk.service(&request);
-        let host_time = self
-            .cost
-            .fs_write_host_time(self.write_requests_for(size_bytes));
-        self.charge(disk_time, host_time);
-        let fragments = self.volume.file(receipt.file_id)?.fragment_count() as u64;
-        // No `after_mutating_op`: migration *is* maintenance, so it must not
-        // tick the destination's own maintenance scheduler.
-        Ok(OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
+    fn read(&self, key: &str, cost: &CostModel) -> Result<IoPlan, StoreError> {
+        let id = self.volume.lookup(key)?;
+        Ok(IoPlan {
+            request: IoRequest::read_runs(self.volume.read_plan(id)?),
+            extra_bytes: 0,
+            payload_bytes: self.volume.file(id)?.size_bytes,
+            host_time: cost.fs_read_host_time(),
+            placement: (),
         })
-    }
-
-    fn contains(&self, key: &str) -> bool {
-        self.volume.lookup(key).is_ok()
     }
 
     fn object_count(&self) -> usize {
@@ -290,17 +197,7 @@ impl ObjectStore for FsObjectStore {
         self.volume.iter_files().map(|f| f.name.clone()).collect()
     }
 
-    fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        let id = self.volume.lookup(key)?;
-        Ok(self.volume.file(id)?.size_bytes)
-    }
-
-    fn layout_of(&self, key: &str) -> Result<Vec<lor_disksim::ByteRun>, StoreError> {
-        let id = self.volume.lookup(key)?;
-        Ok(self.volume.read_plan(id)?)
-    }
-
-    fn fragmentation(&self) -> lor_alloc::FragmentationSummary {
+    fn fragmentation(&self) -> FragmentationSummary {
         self.volume.fragmentation()
     }
 
@@ -312,89 +209,61 @@ impl ObjectStore for FsObjectStore {
         self.volume.iter_files().map(|f| f.size_bytes).sum()
     }
 
-    fn elapsed(&self) -> SimDuration {
-        self.clock.now()
+    fn free_space_report(&self) -> FreeSpaceReport {
+        self.volume.free_space_report()
     }
 
-    fn reset_measurements(&mut self) {
-        self.clock.reset();
-        self.disk.reset_measurements();
+    fn band_occupancy(&self) -> BandOccupancy {
+        self.volume.band_occupancy()
     }
 
-    fn maintenance(&mut self) -> Result<u64, StoreError> {
-        let report = Defragmenter::new()
-            .defragment_volume(&mut self.volume, 0)
-            .map_err(StoreError::from)?;
-        // Moving a file costs reading it and writing it back, plus a pair of
-        // positioning delays per file moved.
-        let transfer_rate = self
-            .disk
-            .config()
-            .transfer_rate_at(self.disk.config().capacity_bytes / 2);
-        let copy_time =
-            SimDuration::from_secs_f64(2.0 * report.bytes_copied as f64 / transfer_rate);
-        let positioning = (self
-            .disk
-            .config()
-            .seek
-            .seek_time(self.disk.config().seek.cylinders / 3)
-            + self.disk.config().average_rotational_latency())
-            * (2 * report.files_moved);
-        self.charge(ServiceTime::default(), copy_time + positioning);
-        Ok(report.bytes_copied)
+    fn placement(&self) -> PlacementPolicy {
+        self.volume.placement()
     }
 
-    fn write_request_size(&self) -> u64 {
-        self.write_request_size
+    fn reclaimable_bytes(&self) -> u64 {
+        self.volume.pending_clusters() * self.volume.cluster_size()
     }
 
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.stats())
-    }
-
-    fn maintenance_config(&self) -> Option<MaintenanceConfig> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.config())
-    }
-
-    fn maintenance_slice(&mut self, budget_bytes: u64, now: SimDuration) -> lor_maint::MaintIo {
-        let Some(state) = self.maintenance.as_mut() else {
-            return lor_maint::MaintIo::NONE;
-        };
-        let mut target = FsMaintTarget {
-            volume: &mut self.volume,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            cursor: &mut state.cursor,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        state
-            .scheduler
-            .run_budgeted_slice(&mut target, budget_bytes, now)
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        self.disk.set_obs(obs.clone(), "fs-store");
-        if let Some(state) = self.maintenance.as_mut() {
-            state.scheduler.set_obs(obs);
+    fn checkpoint(&mut self, costs: Costs<'_>) -> MaintIo {
+        // Deferred frees are released by the log commit; NTFS has no
+        // separate ghost mechanism, so ghost cleanup is folded in here.
+        let pending = self.volume.pending_clusters();
+        if pending == 0 {
+            return MaintIo::NONE;
         }
+        self.volume.checkpoint();
+        costs.metadata_sweep(pending)
     }
 
-    fn free_space_report(&self) -> Option<lor_alloc::FreeSpaceReport> {
-        Some(self.volume.free_space_report())
+    fn defragment_step(&mut self, budget_bytes: u64, costs: Costs<'_>) -> Option<MaintIo> {
+        if self.cursor.is_done() {
+            // The previous pass finished; start a fresh one so newly aged
+            // files become candidates again.
+            self.cursor.reset();
+        }
+        // Each copied byte is read once and written once.
+        let copy_budget = (budget_bytes / 2).max(1);
+        let Ok(report) =
+            Defragmenter::new().defragment_step(&mut self.volume, &mut self.cursor, copy_budget)
+        else {
+            return Some(MaintIo::NONE);
+        };
+        (report.bytes_copied > 0).then(|| costs.copy(report.bytes_copied, report.files_moved))
     }
 
-    fn band_occupancy(&self) -> Option<lor_alloc::BandOccupancy> {
-        Some(self.volume.band_occupancy())
+    fn maintenance(&mut self) -> Result<(u64, u64), StoreError> {
+        let report = Defragmenter::new().defragment_volume(&mut self.volume, 0)?;
+        // Moving a file costs a pair of positioning delays.
+        Ok((report.bytes_copied, 2 * report.files_moved))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shell::contract::{self, Case};
+    use crate::store::ObjectStore;
     use lor_maint::MaintenancePolicy;
 
     const MB: u64 = 1 << 20;
@@ -403,28 +272,51 @@ mod tests {
         FsObjectStore::new(256 * MB).unwrap()
     }
 
+    fn case() -> Case<FsSubstrate> {
+        Case {
+            kind: StoreKind::Filesystem,
+            new: FsObjectStore::new,
+            zero_write_size: || {
+                FsObjectStore::with_config(FsStoreConfig {
+                    write_request_size: 0,
+                    ..FsStoreConfig::new(MB)
+                })
+            },
+            footprint: |size| size,
+        }
+    }
+
     #[test]
     fn put_get_safe_write_delete_cycle() {
+        contract::put_get_safe_write_delete_cycle(case());
+    }
+
+    #[test]
+    fn clock_accumulates_and_resets() {
+        contract::clock_accumulates_and_resets(case());
+    }
+
+    #[test]
+    fn errors_map_to_store_errors() {
+        contract::errors_map_to_store_errors(case());
+    }
+
+    #[test]
+    fn kind_and_capacity() {
+        contract::kind_capacity_and_keys(case());
+    }
+
+    #[test]
+    fn layout_covers_the_object() {
+        contract::layout_covers_the_object(case());
+    }
+
+    #[test]
+    fn a_read_pays_the_file_open() {
         let mut store = store();
-        let put = store.put("a", MB).unwrap();
-        assert_eq!(put.payload_bytes, MB);
-        assert!(put.transferred_bytes >= MB);
-        assert!(store.contains("a"));
-        assert_eq!(store.object_count(), 1);
-        assert_eq!(store.size_of("a").unwrap(), MB);
-
+        store.put("a", MB).unwrap();
         let get = store.get("a").unwrap();
-        assert_eq!(get.payload_bytes, MB);
-        assert_eq!(get.fragments, 1, "clean store keeps objects contiguous");
-        assert!(get.host_time >= store.cost.fs_read_host_time());
-
-        let rewrite = store.safe_write("a", 2 * MB).unwrap();
-        assert_eq!(rewrite.payload_bytes, 2 * MB);
-        assert_eq!(store.size_of("a").unwrap(), 2 * MB);
-
-        store.delete("a").unwrap();
-        assert!(!store.contains("a"));
-        assert!(store.get("a").is_err());
+        assert!(get.host_time >= CostModel::default().fs_read_host_time());
     }
 
     #[test]
@@ -453,28 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_accumulates_and_resets() {
-        let mut store = store();
-        assert_eq!(store.elapsed(), SimDuration::ZERO);
-        store.put("a", MB).unwrap();
-        let after_put = store.elapsed();
-        assert!(after_put > SimDuration::ZERO);
-        store.get("a").unwrap();
-        assert!(store.elapsed() > after_put);
-        store.reset_measurements();
-        assert_eq!(store.elapsed(), SimDuration::ZERO);
-        assert_eq!(store.disk().stats().total_requests(), 0);
-    }
-
-    #[test]
-    fn layout_covers_the_object() {
-        let mut store = store();
-        store.put("a", 3 * MB).unwrap();
-        let layout = store.layout_of("a").unwrap();
-        assert_eq!(layout.iter().map(|r| r.len).sum::<u64>(), 3 * MB);
-    }
-
-    #[test]
     fn maintenance_reports_copied_bytes() {
         let mut store = store();
         for i in 0..8 {
@@ -482,30 +352,6 @@ mod tests {
         }
         // A clean store has nothing to defragment.
         assert_eq!(store.maintenance().unwrap(), 0);
-    }
-
-    #[test]
-    fn errors_map_to_store_errors() {
-        let mut store = store();
-        assert!(matches!(
-            store.get("missing"),
-            Err(StoreError::NoSuchObject(_))
-        ));
-        store.put("a", MB).unwrap();
-        assert!(matches!(
-            store.put("a", MB),
-            Err(StoreError::ObjectExists(_))
-        ));
-        let mut tiny = FsObjectStore::new(8 * MB).unwrap();
-        assert!(matches!(
-            tiny.put("big", 64 * MB),
-            Err(StoreError::OutOfSpace(_))
-        ));
-        assert!(FsObjectStore::with_config(FsStoreConfig {
-            write_request_size: 0,
-            ..FsStoreConfig::new(MB)
-        })
-        .is_err());
     }
 
     #[test]
@@ -602,15 +448,5 @@ mod tests {
         config.maintenance = Some(MaintenanceConfig::substrate_aware(5.0, 2000.0));
         let store = FsObjectStore::with_config(config).unwrap();
         assert!(store.maintenance_config().unwrap().server_driven);
-    }
-
-    #[test]
-    fn kind_and_capacity() {
-        let store = store();
-        assert_eq!(store.kind(), StoreKind::Filesystem);
-        assert!(store.data_capacity_bytes() <= 256 * MB);
-        assert!(store.data_capacity_bytes() > 200 * MB);
-        assert_eq!(store.live_bytes(), 0);
-        assert_eq!(store.write_request_size(), 64 * 1024);
     }
 }

@@ -5,16 +5,16 @@
 //! into the abstraction the paper studies and the methodology it proposes:
 //!
 //! * [`ObjectStore`] — the get/put/safe-write/delete interface web-style
-//!   applications use, with two implementations: [`FsObjectStore`] (one file
-//!   per object on the NTFS-like volume) and [`DbObjectStore`] (one
-//!   out-of-row BLOB per object in the SQL-Server-like engine), both charged
-//!   against a simulated disk plus a host [`CostModel`].
+//!   applications use, implemented once over three substrates and charged
+//!   against a simulated disk plus a host [`CostModel`]: [`FsObjectStore`]
+//!   (a file per object on the NTFS-like volume), [`DbObjectStore`] (an
+//!   out-of-row BLOB per object) and [`LogObjectStore`] (a segment log).
 //! * [`workload`] — the paper's synthetic workloads (constant and uniform
 //!   object sizes, whole-object safe writes, randomized reads) and
 //!   **storage age** accounting ([`StorageAgeTracker`]).
 //! * [`fragmentation`] — the marker-based fragmentation measurement tool.
 //! * [`maintenance`](crate::MaintenanceConfig) — the `lor-maint` background
-//!   scheduler bound to both stores: ghost cleanup, checkpointing and
+//!   scheduler bound to every store: ghost cleanup, checkpointing and
 //!   incremental defragmentation run as budgeted background tasks whose I/O
 //!   time is charged to the foreground clock (enable via
 //!   [`ExperimentConfig::with_maintenance`]).
@@ -64,6 +64,7 @@ mod error;
 mod fs_store;
 mod log_store;
 mod maintenance;
+mod shell;
 mod store;
 
 pub mod anatomy;

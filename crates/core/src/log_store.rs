@@ -14,16 +14,18 @@
 
 use std::collections::BTreeMap;
 
-use lor_alloc::FreeSpace;
-use lor_disksim::{ByteRun, Disk, DiskConfig, IoRequest, ServiceTime, SimClock, SimDuration};
+use lor_alloc::{
+    BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport, PlacementPolicy,
+};
+use lor_disksim::{ByteRun, DiskConfig, IoRequest, SimDuration};
 use lor_logstore::{AppendOutcome, LogConfig, LogError, SegmentLog};
-use lor_maint::{MaintenanceConfig, MaintenanceStats};
+use lor_maint::{MaintIo, MaintSubstrate, MaintenanceConfig};
 use lor_obs::Obs;
 use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
-use crate::maintenance::{copy_io, LogMaintTarget, MaintenanceState};
-use crate::store::{CostModel, ObjectStore, OpReceipt, StoreKind};
+use crate::shell::{Costs, IoPlan, Store, Substrate, WriteKind};
+use crate::store::{CostModel, StoreKind};
 
 /// Configuration of a log-structured store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -58,51 +60,28 @@ impl LogStoreConfig {
 }
 
 /// Objects stored as versioned records in an append-only segment log.
+pub type LogObjectStore = Store<LogSubstrate>;
+
+/// The append-only segment log as a store substrate.
 #[derive(Debug)]
-pub struct LogObjectStore {
-    log: SegmentLog,
+pub struct LogSubstrate {
+    pub(crate) log: SegmentLog,
     /// Key-to-record index (memory-resident, like the blob index the paper's
     /// repositories keep in their metadata tier).
     names: BTreeMap<String, u64>,
     next_id: u64,
-    disk: Disk,
-    cost: CostModel,
-    clock: SimClock,
-    write_request_size: u64,
-    maintenance: Option<MaintenanceState>,
-    obs: Option<Obs>,
 }
 
 impl LogObjectStore {
     /// Creates a store from an explicit configuration.
     pub fn with_config(config: LogStoreConfig) -> Result<Self, StoreError> {
-        if config.write_request_size == 0 {
-            return Err(StoreError::BadConfig(
-                "write request size must be non-zero".into(),
-            ));
-        }
-        let maintenance = match config.maintenance {
-            Some(maint_config) => {
-                maint_config
-                    .validate()
-                    .map_err(|message| StoreError::BadConfig(message.into()))?;
-                Some(MaintenanceState::new(maint_config))
-            }
-            None => None,
-        };
-        let log =
-            SegmentLog::new(config.log).map_err(|err| StoreError::BadConfig(err.to_string()))?;
-        Ok(LogObjectStore {
-            log,
-            names: BTreeMap::new(),
-            next_id: 1,
-            disk: Disk::new(config.disk),
-            cost: config.cost,
-            clock: SimClock::new(),
-            write_request_size: config.write_request_size,
-            maintenance,
-            obs: None,
-        })
+        Store::build(
+            config.log,
+            config.disk,
+            config.write_request_size,
+            config.cost,
+            config.maintenance,
+        )
     }
 
     /// Creates a store on a log of `capacity_bytes` with default settings.
@@ -113,93 +92,17 @@ impl LogObjectStore {
     /// The underlying segment log (read-only), for segment statistics and
     /// test fixtures.
     pub fn log(&self) -> &SegmentLog {
-        &self.log
+        &self.substrate.log
     }
+}
 
-    /// The underlying disk model (read-only).
-    pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
-
-    fn lookup(&self, key: &str) -> Result<u64, StoreError> {
-        self.names
-            .get(key)
-            .copied()
-            .ok_or_else(|| StoreError::NoSuchObject(key.to_string()))
-    }
-
-    fn charge(&mut self, disk_time: ServiceTime, host_time: SimDuration) {
-        self.clock.advance(disk_time.total() + host_time);
-    }
-
-    fn write_requests_for(&self, size_bytes: u64) -> u64 {
-        size_bytes.div_ceil(self.write_request_size).max(1)
-    }
-
-    /// Costs a completed append: the new version's runs go to the disk
-    /// model, the host pays the index update, and any emergency cleaning the
-    /// append forced is charged to this operation (its bytes show up in
-    /// `transferred_bytes`, making the write amplification visible).
-    fn append_receipt(&mut self, size_bytes: u64, outcome: &AppendOutcome) -> OpReceipt {
-        let request = IoRequest::write_runs(
-            outcome
-                .extents
-                .iter()
-                .map(|extent| ByteRun::new(extent.start, extent.len)),
-        );
-        let mut transferred = request.total_bytes();
-        let disk_time = self.disk.service(&request);
-        let mut host_time = self
-            .cost
-            .log_write_host_time(self.write_requests_for(size_bytes));
-        if !outcome.emergency.is_empty() {
-            let io = copy_io(
-                self.disk.config(),
-                outcome.emergency.bytes_copied,
-                outcome.emergency.objects_moved,
-            );
-            transferred += io.bytes;
-            host_time += io.time;
-            if let Some(obs) = &self.obs {
-                obs.counter(
-                    "cleaner.emergency_bytes",
-                    self.clock.now().as_nanos(),
-                    self.log.emergency_totals().bytes_copied as f64,
-                );
-            }
-        }
-        self.charge(disk_time, host_time);
-        OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments: outcome.fragments,
-        }
-    }
-
-    /// Reports a completed mutating operation of duration `op_time` to the
-    /// background scheduler (if any) and charges whatever background I/O it
-    /// performed to the foreground clock — the single spindle serializes
-    /// foreground and cleaner work.
-    fn after_mutating_op(&mut self, op_time: SimDuration) {
-        let Some(state) = self.maintenance.as_mut() else {
-            return;
-        };
-        if state.scheduler.config().server_driven {
-            // The request scheduler owns the drive: it calls
-            // `maintenance_slice` and models the overlap itself.
-            return;
-        }
-        let mut target = LogMaintTarget {
-            log: &mut self.log,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        let interference = state.scheduler.on_foreground_op(op_time, &mut target);
-        self.clock.advance(interference);
-    }
+/// What an append leaves for its receipt.
+#[derive(Debug)]
+pub struct Appended {
+    /// Coalesced fragment count of the new version.
+    fragments: u64,
+    /// Whether the append forced emergency cleaning.
+    emergency: bool,
 }
 
 /// Maps a substrate error onto the store error for `key`.
@@ -214,106 +117,136 @@ fn log_err(err: LogError, key: &str) -> StoreError {
     }
 }
 
-impl ObjectStore for LogObjectStore {
-    fn kind(&self) -> StoreKind {
-        StoreKind::LogStructured
-    }
+fn byte_runs(extents: &[Extent]) -> impl Iterator<Item = ByteRun> + '_ {
+    extents
+        .iter()
+        .map(|extent| ByteRun::new(extent.start, extent.len))
+}
 
-    fn put(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        if self.names.contains_key(key) {
-            return Err(StoreError::ObjectExists(key.to_string()));
-        }
-        let id = self.next_id;
-        let outcome = self
-            .log
-            .insert(id, size_bytes)
-            .map_err(|e| log_err(e, key))?;
-        self.next_id += 1;
-        self.names.insert(key.to_string(), id);
-        let receipt = self.append_receipt(size_bytes, &outcome);
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
+/// Prices a completed append: the new version's runs, the index update, and
+/// any emergency cleaning the append forced, which is charged to this
+/// operation (its bytes show up in `transferred_bytes`, making the write
+/// amplification visible).
+fn append_plan(size_bytes: u64, outcome: AppendOutcome, costs: Costs<'_>) -> IoPlan<Appended> {
+    let emergency = !outcome.emergency.is_empty();
+    let copies = if emergency {
+        costs.copy(
+            outcome.emergency.bytes_copied,
+            outcome.emergency.objects_moved,
+        )
+    } else {
+        MaintIo::NONE
+    };
+    IoPlan {
+        request: IoRequest::write_runs(byte_runs(&outcome.extents)),
+        extra_bytes: copies.bytes,
+        payload_bytes: size_bytes,
+        host_time: costs
+            .cost
+            .log_write_host_time(costs.write_requests(size_bytes))
+            + copies.time,
+        placement: Appended {
+            fragments: outcome.fragments,
+            emergency,
+        },
     }
+}
 
-    fn get(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let id = self.lookup(key)?;
-        let extents = self.log.extents_of(id).map_err(|e| log_err(e, key))?;
-        let request = IoRequest::read_runs(
-            extents
-                .iter()
-                .map(|extent| ByteRun::new(extent.start, extent.len)),
-        );
-        let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = self.cost.log_read_host_time();
-        self.charge(disk_time, host_time);
-        Ok(OpReceipt {
-            payload_bytes: self.log.size_of(id).map_err(|e| log_err(e, key))?,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
+impl LogSubstrate {
+    fn lookup(&self, key: &str) -> Result<u64, StoreError> {
+        self.names
+            .get(key)
+            .copied()
+            .ok_or_else(|| StoreError::NoSuchObject(key.to_string()))
+    }
+}
+
+impl Substrate for LogSubstrate {
+    type Config = LogConfig;
+    type Placement = Appended;
+
+    const KIND: StoreKind = StoreKind::LogStructured;
+    const DISK_LABEL: &'static str = "log-store";
+    // Dead bytes never come back on their own: the cleaner frees whole
+    // segments or nothing.
+    const MAINT_SUBSTRATE: MaintSubstrate = MaintSubstrate::LogStructured;
+
+    fn open(config: LogConfig) -> Result<Self, StoreError> {
+        Ok(LogSubstrate {
+            log: SegmentLog::new(config).map_err(|err| StoreError::BadConfig(err.to_string()))?,
+            names: BTreeMap::new(),
+            next_id: 1,
         })
     }
 
-    fn safe_write(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let id = self.lookup(key)?;
-        // Append-then-deaden *is* the log's safe write: the old version stays
-        // readable until the new one is fully on disk, no temp file needed.
-        let outcome = self
-            .log
-            .update(id, size_bytes)
-            .map_err(|e| log_err(e, key))?;
-        let receipt = self.append_receipt(size_bytes, &outcome);
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
+    fn write(
+        &mut self,
+        kind: WriteKind,
+        key: &str,
+        size_bytes: u64,
+        costs: Costs<'_>,
+    ) -> Result<IoPlan<Appended>, StoreError> {
+        let outcome = match kind {
+            // Append-then-deaden *is* the log's safe write: the old version
+            // stays readable until the new one is fully on disk, no temp file
+            // needed.
+            WriteKind::SafeWrite => {
+                let id = self.lookup(key)?;
+                self.log.update(id, size_bytes)
+            }
+            _ if self.names.contains_key(key) => {
+                return Err(StoreError::ObjectExists(key.to_string()))
+            }
+            WriteKind::Put => self.log.insert(self.next_id, size_bytes),
+            WriteKind::MigrateIn => self.log.insert_as_maintenance(self.next_id, size_bytes),
+        }
+        .map_err(|e| log_err(e, key))?;
+        if kind != WriteKind::SafeWrite {
+            self.names.insert(key.to_string(), self.next_id);
+            self.next_id += 1;
+        }
+        Ok(append_plan(size_bytes, outcome, costs))
     }
 
-    fn safe_write_batch(&mut self, items: &[(String, u64)]) -> Result<Vec<OpReceipt>, StoreError> {
-        // Group commit: a log serializes appends, so concurrent safe writes
-        // land whole and contiguous in batch order at the head — the log
-        // never interleaves a batch the way the filesystem's round-robin
-        // temp-file writes do.  (Each record is still its own version, so
-        // per-item receipts fall out naturally.)
-        items
-            .iter()
-            .map(|(key, size)| self.safe_write(key, *size))
-            .collect()
+    // Group commit: a log serializes appends, so concurrent safe writes land
+    // whole and contiguous in batch order at the head — the log never
+    // interleaves a batch the way the filesystem's round-robin temp-file
+    // writes do.  The default `safe_write_batch` (one safe write per item)
+    // is exactly that.
+
+    fn written_fragments(
+        &self,
+        write: &IoPlan<Appended>,
+        obs: Option<&Obs>,
+        now: SimDuration,
+    ) -> u64 {
+        if let (true, Some(obs)) = (write.placement.emergency, obs) {
+            obs.counter(
+                "cleaner.emergency_bytes",
+                now.as_nanos(),
+                self.log.emergency_totals().bytes_copied as f64,
+            );
+        }
+        write.placement.fragments
     }
 
-    fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
+    fn delete(&mut self, key: &str, cost: &CostModel) -> Result<SimDuration, StoreError> {
         let id = self.lookup(key)?;
         self.log.remove(id).map_err(|e| log_err(e, key))?;
         self.names.remove(key);
-        let host_time = self.cost.metadata_io_time;
-        self.charge(ServiceTime::default(), host_time);
-        let receipt = OpReceipt {
-            host_time,
-            ..OpReceipt::default()
-        };
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
+        Ok(cost.metadata_io_time)
     }
 
-    fn migrate_in(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        if self.names.contains_key(key) {
-            return Err(StoreError::ObjectExists(key.to_string()));
-        }
-        let id = self.next_id;
-        let outcome = self
-            .log
-            .insert_as_maintenance(id, size_bytes)
-            .map_err(|e| log_err(e, key))?;
-        self.next_id += 1;
-        self.names.insert(key.to_string(), id);
-        // No `after_mutating_op`: migration *is* maintenance, so it must not
-        // tick the destination's own maintenance scheduler.
-        Ok(self.append_receipt(size_bytes, &outcome))
-    }
-
-    fn contains(&self, key: &str) -> bool {
-        self.names.contains_key(key)
+    fn read(&self, key: &str, cost: &CostModel) -> Result<IoPlan, StoreError> {
+        let id = self.lookup(key)?;
+        let extents = self.log.extents_of(id).map_err(|e| log_err(e, key))?;
+        Ok(IoPlan {
+            request: IoRequest::read_runs(byte_runs(extents)),
+            extra_bytes: 0,
+            payload_bytes: self.log.size_of(id).map_err(|e| log_err(e, key))?,
+            host_time: cost.log_read_host_time(),
+            placement: (),
+        })
     }
 
     fn object_count(&self) -> usize {
@@ -324,23 +257,7 @@ impl ObjectStore for LogObjectStore {
         self.names.keys().cloned().collect()
     }
 
-    fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        let id = self.lookup(key)?;
-        self.log.size_of(id).map_err(|e| log_err(e, key))
-    }
-
-    fn layout_of(&self, key: &str) -> Result<Vec<ByteRun>, StoreError> {
-        let id = self.lookup(key)?;
-        Ok(self
-            .log
-            .extents_of(id)
-            .map_err(|e| log_err(e, key))?
-            .iter()
-            .map(|extent| ByteRun::new(extent.start, extent.len))
-            .collect())
-    }
-
-    fn fragmentation(&self) -> lor_alloc::FragmentationSummary {
+    fn fragmentation(&self) -> FragmentationSummary {
         self.log.fragmentation()
     }
 
@@ -352,70 +269,70 @@ impl ObjectStore for LogObjectStore {
         self.log.live_bytes()
     }
 
-    fn elapsed(&self) -> SimDuration {
-        self.clock.now()
+    fn free_space_report(&self) -> FreeSpaceReport {
+        // The log's allocation granule is the segment, so the report's
+        // "clusters" are segments: `largest_run` is the longest contiguous
+        // free-segment run, the resource the cleaner must replenish.
+        FreeSpaceReport::from_free_space(self.log.free_map())
     }
 
-    fn reset_measurements(&mut self) {
-        self.clock.reset();
-        self.disk.reset_measurements();
+    fn band_occupancy(&self) -> BandOccupancy {
+        let map = self.log.free_map();
+        let total = map.total_clusters();
+        let boundary = self.log.config().placement.boundary_cluster(total);
+        BandOccupancy::from_runs(total, boundary, &map.free_runs())
     }
 
-    fn maintenance(&mut self) -> Result<u64, StoreError> {
+    fn placement(&self) -> PlacementPolicy {
+        self.log.config().placement
+    }
+
+    fn reclaimable_bytes(&self) -> u64 {
+        self.log.dead_bytes()
+    }
+
+    fn checkpoint(&mut self, costs: Costs<'_>) -> MaintIo {
+        // Force the segment-usage table / index log tail, like the
+        // database's bulk-logged log force.
+        costs.log_force()
+    }
+
+    // No ghost cleanup: cleaning is the only reclamation, and there is no
+    // ghost backlog that could be released short of running the cleaner.
+
+    fn defragment_step(&mut self, budget_bytes: u64, costs: Costs<'_>) -> Option<MaintIo> {
+        // Each survivor byte is read once and written once.
+        let copy_budget = (budget_bytes / 2).max(1);
+        let Ok(report) = self.log.clean_step(copy_budget) else {
+            return Some(MaintIo::NONE);
+        };
+        // Survivor copies plus the segment-table updates for freed victims.
+        (!report.is_empty()).then(|| {
+            costs
+                .copy(report.bytes_copied, report.objects_moved)
+                .combined(&costs.metadata_sweep(report.segments_freed))
+        })
+    }
+
+    fn maintenance(&mut self) -> Result<(u64, u64), StoreError> {
         let report = self
             .log
             .clean_all()
             .map_err(|err| StoreError::Filesystem(err.to_string()))?;
-        // Cleaning a segment costs reading the survivors and writing them
-        // back, plus a pair of positioning delays per object moved.
-        let transfer_rate = self
-            .disk
-            .config()
-            .transfer_rate_at(self.disk.config().capacity_bytes / 2);
-        let copy_time =
-            SimDuration::from_secs_f64(2.0 * report.bytes_copied as f64 / transfer_rate);
-        let positioning = (self
-            .disk
-            .config()
-            .seek
-            .seek_time(self.disk.config().seek.cylinders / 3)
-            + self.disk.config().average_rotational_latency())
-            * (2 * report.objects_moved);
-        self.charge(ServiceTime::default(), copy_time + positioning);
-        Ok(report.bytes_copied)
+        // Cleaning a segment moves its survivors, a pair of positioning
+        // delays per object moved.
+        Ok((report.bytes_copied, 2 * report.objects_moved))
     }
 
-    fn write_request_size(&self) -> u64 {
-        self.write_request_size
-    }
-
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.stats())
-    }
-
-    fn maintenance_config(&self) -> Option<MaintenanceConfig> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.config())
-    }
-
-    fn maintenance_slice(&mut self, budget_bytes: u64, now: SimDuration) -> lor_maint::MaintIo {
-        let Some(state) = self.maintenance.as_mut() else {
-            return lor_maint::MaintIo::NONE;
-        };
+    fn observe_slice(
+        &mut self,
+        obs: Option<&Obs>,
+        now: SimDuration,
+        slice: impl FnOnce(&mut Self) -> MaintIo,
+    ) -> MaintIo {
         let before = self.log.cleaner_totals();
-        let mut target = LogMaintTarget {
-            log: &mut self.log,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        let io = state
-            .scheduler
-            .run_budgeted_slice(&mut target, budget_bytes, now);
-        if let Some(obs) = &self.obs {
+        let io = slice(self);
+        if let Some(obs) = obs {
             let after = self.log.cleaner_totals();
             let stats = self.log.segment_stats();
             obs.gauge(
@@ -449,39 +366,13 @@ impl ObjectStore for LogObjectStore {
         }
         io
     }
-
-    fn set_obs(&mut self, obs: Obs) {
-        self.disk.set_obs(obs.clone(), "log-store");
-        if let Some(state) = self.maintenance.as_mut() {
-            state.scheduler.set_obs(obs.clone());
-        }
-        self.obs = Some(obs);
-    }
-
-    fn free_space_report(&self) -> Option<lor_alloc::FreeSpaceReport> {
-        // The log's allocation granule is the segment, so the report's
-        // "clusters" are segments: `largest_run` is the longest contiguous
-        // free-segment run, the resource the cleaner must replenish.
-        Some(lor_alloc::FreeSpaceReport::from_free_space(
-            self.log.free_map(),
-        ))
-    }
-
-    fn band_occupancy(&self) -> Option<lor_alloc::BandOccupancy> {
-        let map = self.log.free_map();
-        let total = map.total_clusters();
-        let boundary = self.log.config().placement.boundary_cluster(total);
-        Some(lor_alloc::BandOccupancy::from_runs(
-            total,
-            boundary,
-            &map.free_runs(),
-        ))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shell::contract::{self, Case};
+    use crate::store::ObjectStore;
     use lor_maint::MaintenancePolicy;
 
     const MB: u64 = 1 << 20;
@@ -490,52 +381,54 @@ mod tests {
         LogObjectStore::new(256 * MB).unwrap()
     }
 
+    fn case() -> Case<LogSubstrate> {
+        Case {
+            kind: StoreKind::LogStructured,
+            new: LogObjectStore::new,
+            zero_write_size: || {
+                LogObjectStore::with_config(LogStoreConfig {
+                    write_request_size: 0,
+                    ..LogStoreConfig::new(MB)
+                })
+            },
+            footprint: |size| size,
+        }
+    }
+
     #[test]
     fn put_get_safe_write_delete_cycle() {
-        let mut store = store();
-        let put = store.put("a", MB).unwrap();
-        assert_eq!(put.payload_bytes, MB);
-        assert!(put.transferred_bytes >= MB);
-        assert!(store.contains("a"));
-        assert_eq!(store.object_count(), 1);
-        assert_eq!(store.size_of("a").unwrap(), MB);
-
-        let get = store.get("a").unwrap();
-        assert_eq!(get.payload_bytes, MB);
-        assert_eq!(get.fragments, 1, "a fresh log keeps objects contiguous");
-        assert!(get.host_time >= store.cost.log_read_host_time());
-
-        let rewrite = store.safe_write("a", 2 * MB).unwrap();
-        assert_eq!(rewrite.payload_bytes, 2 * MB);
-        assert_eq!(store.size_of("a").unwrap(), 2 * MB);
-        // The old version's bytes are dead, waiting for the cleaner.
-        assert!(store.log().dead_bytes() >= MB);
-
-        store.delete("a").unwrap();
-        assert!(!store.contains("a"));
-        assert!(store.get("a").is_err());
+        contract::put_get_safe_write_delete_cycle(case());
     }
 
     #[test]
     fn clock_accumulates_and_resets() {
-        let mut store = store();
-        assert_eq!(store.elapsed(), SimDuration::ZERO);
-        store.put("a", MB).unwrap();
-        let after_put = store.elapsed();
-        assert!(after_put > SimDuration::ZERO);
-        store.get("a").unwrap();
-        assert!(store.elapsed() > after_put);
-        store.reset_measurements();
-        assert_eq!(store.elapsed(), SimDuration::ZERO);
-        assert_eq!(store.disk().stats().total_requests(), 0);
+        contract::clock_accumulates_and_resets(case());
+    }
+
+    #[test]
+    fn errors_map_to_store_errors() {
+        contract::errors_map_to_store_errors(case());
+    }
+
+    #[test]
+    fn kind_and_capacity() {
+        contract::kind_capacity_and_keys(case());
     }
 
     #[test]
     fn layout_covers_the_object() {
+        contract::layout_covers_the_object(case());
+    }
+
+    #[test]
+    fn reads_are_index_lookups_and_rewrites_leave_dead_bytes() {
         let mut store = store();
-        store.put("a", 3 * MB).unwrap();
-        let layout = store.layout_of("a").unwrap();
-        assert_eq!(layout.iter().map(|r| r.len).sum::<u64>(), 3 * MB);
+        store.put("a", MB).unwrap();
+        let get = store.get("a").unwrap();
+        assert!(get.host_time >= CostModel::default().log_read_host_time());
+        store.safe_write("a", 2 * MB).unwrap();
+        // The old version's bytes are dead, waiting for the cleaner.
+        assert!(store.log().dead_bytes() >= MB);
     }
 
     #[test]
@@ -556,34 +449,6 @@ mod tests {
         assert!(copied > 0, "survivors of half-dead segments must move");
         assert_eq!(store.log().dead_bytes(), 0, "a full clean reclaims all");
         assert!(store.elapsed() > before, "cleaning costs foreground time");
-    }
-
-    #[test]
-    fn errors_map_to_store_errors() {
-        let mut store = store();
-        assert!(matches!(
-            store.get("missing"),
-            Err(StoreError::NoSuchObject(_))
-        ));
-        store.put("a", MB).unwrap();
-        assert!(matches!(
-            store.put("a", MB),
-            Err(StoreError::ObjectExists(_))
-        ));
-        assert!(matches!(
-            store.safe_write("missing", MB),
-            Err(StoreError::NoSuchObject(_))
-        ));
-        let mut tiny = LogObjectStore::new(8 * MB).unwrap();
-        assert!(matches!(
-            tiny.put("big", 64 * MB),
-            Err(StoreError::OutOfSpace(_))
-        ));
-        assert!(LogObjectStore::with_config(LogStoreConfig {
-            write_request_size: 0,
-            ..LogStoreConfig::new(MB)
-        })
-        .is_err());
     }
 
     #[test]
@@ -638,17 +503,5 @@ mod tests {
             LogObjectStore::with_config(bad),
             Err(StoreError::BadConfig(_))
         ));
-    }
-
-    #[test]
-    fn kind_and_capacity() {
-        let store = store();
-        assert_eq!(store.kind(), StoreKind::LogStructured);
-        assert!(store.data_capacity_bytes() <= 256 * MB);
-        assert!(store.data_capacity_bytes() > 200 * MB);
-        assert_eq!(store.live_bytes(), 0);
-        assert_eq!(store.write_request_size(), 64 * 1024);
-        assert!(store.free_space_report().is_some());
-        assert!(store.band_occupancy().is_some());
     }
 }

@@ -1,31 +1,28 @@
-//! Binding the `lor-maint` background scheduler to the two object stores.
+//! Binding the `lor-maint` background scheduler to the store shell.
 //!
 //! The scheduler is substrate-agnostic: it budgets bytes and accumulates
-//! time.  This module supplies the two [`MaintTarget`] adapters that map its
-//! three duties onto each substrate's native mechanisms and cost the
-//! resulting I/O with the store's own disk geometry:
+//! time.  This module supplies the one [`MaintTarget`] adapter, generic over
+//! the shell's [`Substrate`], that forwards the scheduler's three duties to
+//! the substrate's native mechanisms, prices them with the store's own disk
+//! geometry ([`Costs`]) and backs an idle defragmentation duty off:
 //!
-//! | duty            | filesystem ([`FsMaintTarget`])      | database ([`DbMaintTarget`])          | segment log ([`LogMaintTarget`])     |
-//! |-----------------|-------------------------------------|---------------------------------------|--------------------------------------|
-//! | checkpoint      | drain the pending-free queue        | force the log (bulk-logged mode)      | force the segment-usage table        |
-//! | ghost cleanup   | (folded into the checkpoint)        | reclaim ghost pages / empty extents   | none — cleaning is the only reclamation |
-//! | defragmentation | [`Defragmenter::defragment_step`]   | [`Database::compact_step`]            | [`SegmentLog::clean_step`]           |
+//! | duty            | filesystem (`FsSubstrate`)          | database (`DbSubstrate`)            | segment log (`LogSubstrate`)          |
+//! |-----------------|-------------------------------------|-------------------------------------|---------------------------------------|
+//! | checkpoint      | drain the pending-free queue        | force the log (bulk-logged mode)    | force the segment-usage table         |
+//! | ghost cleanup   | (folded into the checkpoint)        | reclaim ghost pages / empty extents | none — cleaning is the only reclamation |
+//! | defragmentation | `Defragmenter::defragment_step`     | `Database::compact_step`            | `SegmentLog::clean_step`              |
 
-use lor_blobkit::Database;
-use lor_disksim::DiskConfig;
-use lor_fskit::{DefragCursor, Defragmenter, Volume};
-use lor_logstore::SegmentLog;
-use lor_maint::{MaintIo, MaintSubstrate, MaintTarget, MaintenanceConfig, MaintenanceScheduler};
+use lor_maint::{MaintIo, MaintSubstrate, MaintTarget, MaintenanceScheduler};
 
-use crate::store::CostModel;
+use crate::shell::{Costs, Substrate};
 
 /// Bytes charged per metadata I/O when costing maintenance passes (one small
 /// random read-modify-write of a bitmap / PFS / log page).
-const METADATA_IO_BYTES: u64 = 4096;
+pub(crate) const METADATA_IO_BYTES: u64 = 4096;
 
 /// Pages (or clusters) whose allocation state one metadata page covers, so a
 /// cleanup pass over `n` units costs `1 + n / UNITS_PER_METADATA_IO` I/Os.
-const UNITS_PER_METADATA_IO: u64 = 512;
+pub(crate) const UNITS_PER_METADATA_IO: u64 = 512;
 
 /// Ticks the defragmentation task sleeps after a pass that found nothing to
 /// move, so a converged store is not re-scanned (an O(objects) walk) on every
@@ -36,171 +33,62 @@ const DEFRAG_BACKOFF_TICKS: u64 = 15;
 #[derive(Debug)]
 pub(crate) struct MaintenanceState {
     pub scheduler: MaintenanceScheduler,
-    /// Resumable position of the filesystem's incremental defragmentation
-    /// pass (unused by the database adapter).
-    pub cursor: DefragCursor,
     /// Remaining ticks of the post-convergence defragmentation back-off.
     pub defrag_backoff: u64,
 }
 
 impl MaintenanceState {
-    pub fn new(config: MaintenanceConfig) -> Self {
-        MaintenanceState {
-            scheduler: MaintenanceScheduler::new(config),
-            cursor: DefragCursor::new(),
-            defrag_backoff: 0,
-        }
+    /// Runs `drive` (the store-attached or the server-driven drive) on the
+    /// scheduler with `substrate` as its target.
+    pub fn drive<S: Substrate, R>(
+        &mut self,
+        substrate: &mut S,
+        costs: Costs<'_>,
+        drive: impl FnOnce(&mut MaintenanceScheduler, &mut dyn MaintTarget) -> R,
+    ) -> R {
+        let mut target = Target {
+            substrate,
+            costs,
+            defrag_backoff: &mut self.defrag_backoff,
+        };
+        drive(&mut self.scheduler, &mut target)
     }
 }
 
-/// Cost of a metadata sweep updating the allocation state of `units` pages
-/// or clusters.
-fn metadata_sweep_io(cost: &CostModel, units: u64) -> MaintIo {
-    let ios = 1 + units / UNITS_PER_METADATA_IO;
-    MaintIo::new(ios * METADATA_IO_BYTES, cost.metadata_io_time * ios)
+/// [`MaintTarget`] over any substrate.
+struct Target<'a, S> {
+    substrate: &'a mut S,
+    costs: Costs<'a>,
+    defrag_backoff: &'a mut u64,
 }
 
-/// Cost of a background copy of `payload_bytes` spread over `objects_moved`
-/// relocated objects: every byte is read once and written once, with a pair
-/// of repositioning delays per object.
-pub(crate) fn copy_io(disk: &DiskConfig, payload_bytes: u64, objects_moved: u64) -> MaintIo {
-    let bytes = payload_bytes.saturating_mul(2);
-    MaintIo::new(bytes, disk.background_copy_time(bytes, objects_moved * 2))
-}
-
-/// [`MaintTarget`] over the NTFS-like volume.
-pub(crate) struct FsMaintTarget<'a> {
-    pub volume: &'a mut Volume,
-    pub disk: &'a DiskConfig,
-    pub cost: &'a CostModel,
-    pub cursor: &'a mut DefragCursor,
-    pub defrag_backoff: &'a mut u64,
-}
-
-impl MaintTarget for FsMaintTarget<'_> {
+impl<S: Substrate> MaintTarget for Target<'_, S> {
     fn substrate(&self) -> MaintSubstrate {
-        // Freed clusters are quarantined in the pending-free queue until a
-        // checkpoint, so eager release has no reuse pathology to trigger.
-        MaintSubstrate::DeferredReuse
+        S::MAINT_SUBSTRATE
     }
 
     fn placement(&self) -> lor_alloc::PlacementPolicy {
-        self.volume.placement()
+        self.substrate.placement()
     }
 
     fn reclaimable_bytes(&self) -> u64 {
-        self.volume.pending_clusters() * self.volume.cluster_size()
+        self.substrate.reclaimable_bytes()
     }
 
     fn fragments_per_object(&self) -> f64 {
-        self.volume.fragmentation().fragments_per_object
+        self.substrate.fragmentation().fragments_per_object
     }
 
     fn excess_fragments(&self) -> u64 {
-        self.volume.fragmentation().excess_fragments()
-    }
-
-    fn ghost_cleanup(&mut self, _budget_bytes: u64) -> MaintIo {
-        // Deferred frees are released by the log commit below; NTFS has no
-        // separate ghost mechanism.
-        MaintIo::NONE
-    }
-
-    fn checkpoint(&mut self) -> MaintIo {
-        let pending = self.volume.pending_clusters();
-        if pending == 0 {
-            return MaintIo::NONE;
-        }
-        self.volume.checkpoint();
-        metadata_sweep_io(self.cost, pending)
-    }
-
-    fn defragment_step(&mut self, budget_bytes: u64) -> MaintIo {
-        if *self.defrag_backoff > 0 {
-            *self.defrag_backoff -= 1;
-            return MaintIo::NONE;
-        }
-        if self.cursor.is_done() {
-            // The previous pass finished; start a fresh one so newly aged
-            // files become candidates again.
-            self.cursor.reset();
-        }
-        // Each copied byte is read once and written once.
-        let copy_budget = (budget_bytes / 2).max(1);
-        let report =
-            match Defragmenter::new().defragment_step(self.volume, self.cursor, copy_budget) {
-                Ok(report) => report,
-                Err(_) => return MaintIo::NONE,
-            };
-        if report.bytes_copied == 0 {
-            // The pass drained without moving anything: the volume is as good
-            // as the defragmenter can make it right now, so back off instead
-            // of re-scanning every tick.
-            *self.defrag_backoff = DEFRAG_BACKOFF_TICKS;
-            return MaintIo::NONE;
-        }
-        copy_io(self.disk, report.bytes_copied, report.files_moved)
-    }
-}
-
-/// [`MaintTarget`] over the SQL-Server-like engine.
-pub(crate) struct DbMaintTarget<'a> {
-    pub db: &'a mut Database,
-    pub disk: &'a DiskConfig,
-    pub cost: &'a CostModel,
-    pub defrag_backoff: &'a mut u64,
-}
-
-impl MaintTarget for DbMaintTarget<'_> {
-    fn substrate(&self) -> MaintSubstrate {
-        // The engine's lowest-first page reuse recycles released ghost space
-        // immediately — the eager-cleanup pathology the `SubstrateAware`
-        // policy's deferred release exists to break.
-        MaintSubstrate::EagerReuse
-    }
-
-    fn placement(&self) -> lor_alloc::PlacementPolicy {
-        self.db.config().placement
-    }
-
-    fn reclaimable_bytes(&self) -> u64 {
-        self.db.ghost_page_count() * self.db.config().page_size
-    }
-
-    fn fragments_per_object(&self) -> f64 {
-        self.db.fragmentation().fragments_per_object
-    }
-
-    fn excess_fragments(&self) -> u64 {
-        self.db.fragmentation().excess_fragments()
+        self.substrate.fragmentation().excess_fragments()
     }
 
     fn ghost_cleanup(&mut self, budget_bytes: u64) -> MaintIo {
-        if self.db.ghost_page_count() == 0 {
-            return MaintIo::NONE;
-        }
-        let page_size = self.db.config().page_size.max(1);
-        // The cleanup task *visits* each ghosted page (a read-modify-write
-        // clearing the ghost record and its PFS/IAM bits), so a budgeted pass
-        // reclaims at most the budget's worth of page visits — at least one,
-        // so a pass always makes progress — and a big backlog drains over
-        // several passes.  The engine releases the selected pages tail-first
-        // (highest offsets), keeping the backlog's low-offset holes away from
-        // its lowest-first reuse; see `ghost_cleanup_limited` and the
-        // small-budget pathology recorded in EXPERIMENTS.md.
-        let max_pages = (budget_bytes / page_size).max(1);
-        let reclaimed = self.db.ghost_cleanup_limited(max_pages);
-        let visit_bytes = reclaimed.saturating_mul(page_size);
-        let visits = self
-            .disk
-            .background_copy_time(visit_bytes, 1 + reclaimed / UNITS_PER_METADATA_IO);
-        let sweep = metadata_sweep_io(self.cost, reclaimed);
-        MaintIo::new(visit_bytes + sweep.bytes, visits + sweep.time)
+        self.substrate.ghost_cleanup(budget_bytes, self.costs)
     }
 
     fn checkpoint(&mut self) -> MaintIo {
-        // Bulk-logged mode: the periodic checkpoint is a log force.
-        MaintIo::new(METADATA_IO_BYTES, self.cost.metadata_io_time)
+        self.substrate.checkpoint(self.costs)
     }
 
     fn defragment_step(&mut self, budget_bytes: u64) -> MaintIo {
@@ -208,115 +96,62 @@ impl MaintTarget for DbMaintTarget<'_> {
             *self.defrag_backoff -= 1;
             return MaintIo::NONE;
         }
-        let page_size = self.db.config().page_size.max(1);
-        // Each moved page is read once and written once.
-        let page_budget = (budget_bytes / (2 * page_size)).max(1);
-        let report = self.db.compact_step(page_budget);
-        if report.pages_moved == 0 {
-            // Nothing movable: back off instead of re-scanning every blob on
-            // every tick.
-            *self.defrag_backoff = DEFRAG_BACKOFF_TICKS;
-            return MaintIo::NONE;
+        match self.substrate.defragment_step(budget_bytes, self.costs) {
+            Some(io) => io,
+            None => {
+                // The pass found nothing to move: the layout is as good as
+                // the substrate can make it right now, so back off instead
+                // of re-scanning every tick.
+                *self.defrag_backoff = DEFRAG_BACKOFF_TICKS;
+                MaintIo::NONE
+            }
         }
-        copy_io(
-            self.disk,
-            report.pages_moved * page_size,
-            report.blobs_moved,
-        )
-    }
-}
-
-/// [`MaintTarget`] over the append-only segment log.
-pub(crate) struct LogMaintTarget<'a> {
-    pub log: &'a mut SegmentLog,
-    pub disk: &'a DiskConfig,
-    pub cost: &'a CostModel,
-    pub defrag_backoff: &'a mut u64,
-}
-
-impl MaintTarget for LogMaintTarget<'_> {
-    fn substrate(&self) -> MaintSubstrate {
-        // Dead bytes never come back on their own: the cleaner frees whole
-        // segments or nothing.
-        MaintSubstrate::LogStructured
-    }
-
-    fn placement(&self) -> lor_alloc::PlacementPolicy {
-        self.log.config().placement
-    }
-
-    fn reclaimable_bytes(&self) -> u64 {
-        self.log.dead_bytes()
-    }
-
-    fn fragments_per_object(&self) -> f64 {
-        self.log.fragmentation().fragments_per_object
-    }
-
-    fn excess_fragments(&self) -> u64 {
-        self.log.fragmentation().excess_fragments()
-    }
-
-    fn ghost_cleanup(&mut self, _budget_bytes: u64) -> MaintIo {
-        // Cleaning is the only reclamation: there is no ghost backlog that
-        // could be released short of running the cleaner itself.
-        MaintIo::NONE
-    }
-
-    fn checkpoint(&mut self) -> MaintIo {
-        // Force the segment-usage table / index log tail, like the
-        // database's bulk-logged log force.
-        MaintIo::new(METADATA_IO_BYTES, self.cost.metadata_io_time)
-    }
-
-    fn defragment_step(&mut self, budget_bytes: u64) -> MaintIo {
-        if *self.defrag_backoff > 0 {
-            *self.defrag_backoff -= 1;
-            return MaintIo::NONE;
-        }
-        // Each survivor byte is read once and written once.
-        let copy_budget = (budget_bytes / 2).max(1);
-        let report = match self.log.clean_step(copy_budget) {
-            Ok(report) => report,
-            Err(_) => return MaintIo::NONE,
-        };
-        if report.is_empty() {
-            // Nothing worth cleaning: back off instead of re-scoring every
-            // segment on every tick.
-            *self.defrag_backoff = DEFRAG_BACKOFF_TICKS;
-            return MaintIo::NONE;
-        }
-        // Survivor copies plus the segment-table updates for freed victims.
-        copy_io(self.disk, report.bytes_copied, report.objects_moved)
-            .combined(&metadata_sweep_io(self.cost, report.segments_freed))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db_store::DbSubstrate;
+    use crate::fs_store::FsSubstrate;
+    use crate::log_store::LogSubstrate;
+    use crate::store::CostModel;
+    use lor_disksim::{DiskConfig, SimDuration};
     use lor_fskit::VolumeConfig;
 
     const MB: u64 = 1 << 20;
+
+    fn costs<'a>(disk: &'a DiskConfig, cost: &'a CostModel) -> Costs<'a> {
+        Costs {
+            disk,
+            cost,
+            write_request_size: 64 * 1024,
+        }
+    }
+
+    fn target<'a, S>(
+        substrate: &'a mut S,
+        costs: Costs<'a>,
+        backoff: &'a mut u64,
+    ) -> Target<'a, S> {
+        Target {
+            substrate,
+            costs,
+            defrag_backoff: backoff,
+        }
+    }
 
     #[test]
     fn fs_target_checkpoint_drains_the_pending_queue() {
         let mut config = VolumeConfig::new(64 * MB);
         config.checkpoint_interval_ops = 0;
-        let mut volume = Volume::format(config).unwrap();
-        volume.write_file("a", MB, 64 * 1024).unwrap();
-        volume.delete_by_name("a").unwrap();
+        let mut fs = FsSubstrate::open(config).unwrap();
+        fs.volume.write_file("a", MB, 64 * 1024).unwrap();
+        fs.volume.delete_by_name("a").unwrap();
         let disk = DiskConfig::seagate_400gb_2005().scaled(64 * MB);
         let cost = CostModel::default();
-        let mut cursor = DefragCursor::new();
         let mut backoff = 0u64;
-        let mut target = FsMaintTarget {
-            volume: &mut volume,
-            disk: &disk,
-            cost: &cost,
-            cursor: &mut cursor,
-            defrag_backoff: &mut backoff,
-        };
+        let mut target = target(&mut fs, costs(&disk, &cost), &mut backoff);
         assert!(target.reclaimable_bytes() >= MB);
         let io = target.checkpoint();
         assert!(!io.is_none());
@@ -326,54 +161,41 @@ mod tests {
 
     #[test]
     fn substrate_declarations_match_each_engines_reuse_behaviour() {
-        let mut volume = Volume::format(VolumeConfig::new(64 * MB)).unwrap();
         let disk = DiskConfig::seagate_400gb_2005().scaled(64 * MB);
         let cost = CostModel::default();
-        let mut cursor = DefragCursor::new();
         let mut backoff = 0u64;
-        let fs = FsMaintTarget {
-            volume: &mut volume,
-            disk: &disk,
-            cost: &cost,
-            cursor: &mut cursor,
-            defrag_backoff: &mut backoff,
-        };
+        let mut fs = FsSubstrate::open(VolumeConfig::new(64 * MB)).unwrap();
+        let fs = target(&mut fs, costs(&disk, &cost), &mut backoff);
         assert_eq!(fs.substrate(), MaintSubstrate::DeferredReuse);
 
-        let mut db = Database::create(lor_blobkit::EngineConfig::new(64 * MB)).unwrap();
-        let mut backoff = 0u64;
-        let db_target = DbMaintTarget {
-            db: &mut db,
-            disk: &disk,
-            cost: &cost,
-            defrag_backoff: &mut backoff,
-        };
-        assert_eq!(db_target.substrate(), MaintSubstrate::EagerReuse);
+        let mut db = DbSubstrate::open(lor_blobkit::EngineConfig::new(64 * MB)).unwrap();
+        let db = target(&mut db, costs(&disk, &cost), &mut backoff);
+        assert_eq!(db.substrate(), MaintSubstrate::EagerReuse);
+
+        let mut log = LogSubstrate::open(lor_logstore::LogConfig::new(64 * MB)).unwrap();
+        let log = target(&mut log, costs(&disk, &cost), &mut backoff);
+        assert_eq!(log.substrate(), MaintSubstrate::LogStructured);
     }
 
     #[test]
     fn db_target_cleanup_and_compaction_report_io() {
         let mut engine_config = lor_blobkit::EngineConfig::new(64 * MB);
         engine_config.ghost_cleanup_interval_ops = 0;
-        let mut db = Database::create(engine_config).unwrap();
+        let mut db = DbSubstrate::open(engine_config).unwrap();
         for i in 0..16 {
-            db.insert(&format!("o{i}"), MB).unwrap();
+            db.db.insert(&format!("o{i}"), MB).unwrap();
         }
         for round in 0..6 {
             for i in 0..16 {
-                db.update(&format!("o{}", (i * 5 + round) % 16), MB)
+                db.db
+                    .update(&format!("o{}", (i * 5 + round) % 16), MB)
                     .unwrap();
             }
         }
         let disk = DiskConfig::seagate_400gb_2005().scaled(64 * MB);
         let cost = CostModel::default();
         let mut backoff = 0u64;
-        let mut target = DbMaintTarget {
-            db: &mut db,
-            disk: &disk,
-            cost: &cost,
-            defrag_backoff: &mut backoff,
-        };
+        let mut target = target(&mut db, costs(&disk, &cost), &mut backoff);
         assert!(target.reclaimable_bytes() > 0);
         // A one-I/O budget reclaims at most its metadata page's worth of
         // ghosts; repeated budgeted passes drain the rest.
@@ -403,7 +225,7 @@ mod tests {
             moved = moved.combined(&step);
         }
         assert!(moved.bytes > 0);
-        assert!(moved.time > lor_disksim::SimDuration::ZERO);
+        assert!(moved.time > SimDuration::ZERO);
         assert!(target.fragments_per_object() < before);
     }
 
@@ -411,24 +233,19 @@ mod tests {
     fn log_target_cleans_and_reports_io() {
         let mut config = lor_logstore::LogConfig::new(64 * MB);
         config.segment_bytes = MB;
-        let mut log = SegmentLog::new(config).unwrap();
+        let mut log = LogSubstrate::open(config).unwrap();
         // Two half-MB objects per segment, every other one deleted: every
         // sealed segment is half dead.
         for id in 0..16 {
-            log.insert(id, MB / 2).unwrap();
+            log.log.insert(id, MB / 2).unwrap();
         }
         for id in (0..16).step_by(2) {
-            log.remove(id).unwrap();
+            log.log.remove(id).unwrap();
         }
         let disk = DiskConfig::seagate_400gb_2005().scaled(64 * MB);
         let cost = CostModel::default();
         let mut backoff = 0u64;
-        let mut target = LogMaintTarget {
-            log: &mut log,
-            disk: &disk,
-            cost: &cost,
-            defrag_backoff: &mut backoff,
-        };
+        let mut target = target(&mut log, costs(&disk, &cost), &mut backoff);
         assert_eq!(target.substrate(), MaintSubstrate::LogStructured);
         assert!(target.reclaimable_bytes() > 0);
         assert!(

@@ -191,6 +191,34 @@ pub struct OpenLoop {
     pub seed: u64,
 }
 
+impl OpenLoop {
+    /// Checks that the offered load is positive and finite; `load` names it
+    /// in the error.
+    pub fn validate(&self, load: &str) -> Result<(), StoreError> {
+        if !self.ops_per_sec.is_finite() || self.ops_per_sec <= 0.0 {
+            return Err(StoreError::BadConfig(format!(
+                "{load} must be positive and finite"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The endless sequence of Poisson arrival instants after `start`: each
+    /// is the previous one plus an exponential inter-arrival time
+    /// `-ln(u) / ops_per_sec`, with `u` drawn uniformly from `[1e-12, 1)` by
+    /// an RNG seeded with [`OpenLoop::seed`].
+    pub fn arrivals(&self, start: SimDuration) -> impl Iterator<Item = SimDuration> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let rate = self.ops_per_sec;
+        let mut at = start;
+        std::iter::repeat_with(move || {
+            let unit: f64 = rng.gen_range(1e-12..1.0);
+            at += SimDuration::from_secs_f64(-unit.ln() / rate);
+            at
+        })
+    }
+}
+
 /// A mixed open-loop arrival process: two independent Poisson streams — one
 /// of reads, one of safe writes — merged into a single deterministic
 /// interleave, so fragmentation growth (driven by the write class) interacts
@@ -241,14 +269,20 @@ impl MixedOpenLoop {
         self.read_ops_per_sec + self.write_ops_per_sec
     }
 
-    fn validate_rate(rate: f64, class: &str, ops: usize) -> Result<(), StoreError> {
-        if ops > 0 && (!rate.is_finite() || rate <= 0.0) {
-            return Err(StoreError::BadConfig(format!(
-                "mixed open-loop {class} rate must be positive and finite when \
-                 {class}s are offered"
-            )));
+    /// One class's operations paired with their arrival instants.  The rate
+    /// is checked only when the class offers operations: operations lead the
+    /// zip, so an empty class draws nothing.
+    fn class_arrivals(
+        ops: Vec<WorkloadOp>,
+        class: &str,
+        load: OpenLoop,
+        start: SimDuration,
+    ) -> Result<Vec<(SimDuration, WorkloadOp)>, StoreError> {
+        if !ops.is_empty() {
+            load.validate(&format!("mixed open-loop {class} rate"))?;
         }
-        Ok(())
+        let arrivals = ops.into_iter().zip(load.arrivals(start));
+        Ok(arrivals.map(|(op, at)| (at, op)).collect())
     }
 
     /// Builds the merged arrival schedule starting at `start`: each class's
@@ -263,28 +297,18 @@ impl MixedOpenLoop {
         reads: Vec<WorkloadOp>,
         writes: Vec<WorkloadOp>,
     ) -> Result<Vec<StoreRequest>, StoreError> {
-        Self::validate_rate(self.read_ops_per_sec, "read", reads.len())?;
-        Self::validate_rate(self.write_ops_per_sec, "write", writes.len())?;
-
-        let arrival_stream = |ops: Vec<WorkloadOp>, rate: f64, seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut at = start;
-            ops.into_iter()
-                .map(|op| {
-                    let unit: f64 = rng.gen_range(1e-12..1.0);
-                    at += SimDuration::from_secs_f64(-unit.ln() / rate);
-                    (at, op)
-                })
-                .collect::<Vec<_>>()
-        };
         // Distinct per-class seeds (splitmix-style offset) keep the two
         // exponential patterns independent while both derive from one knob.
-        let reads = arrival_stream(reads, self.read_ops_per_sec, self.seed);
-        let writes = arrival_stream(
-            writes,
-            self.write_ops_per_sec,
-            self.seed ^ 0x9E37_79B9_7F4A_7C15,
-        );
+        let read_load = OpenLoop {
+            ops_per_sec: self.read_ops_per_sec,
+            seed: self.seed,
+        };
+        let write_load = OpenLoop {
+            ops_per_sec: self.write_ops_per_sec,
+            seed: self.seed ^ 0x9E37_79B9_7F4A_7C15,
+        };
+        let reads = Self::class_arrivals(reads, "read", read_load, start)?;
+        let writes = Self::class_arrivals(writes, "write", write_load, start)?;
 
         let mut merged = Vec::with_capacity(reads.len() + writes.len());
         let (mut r, mut w) = (reads.into_iter().peekable(), writes.into_iter().peekable());
@@ -494,24 +518,15 @@ impl<'a> StoreServer<'a> {
         ops: Vec<WorkloadOp>,
         load: OpenLoop,
     ) -> Result<Vec<Completion>, StoreError> {
-        if !load.ops_per_sec.is_finite() || load.ops_per_sec <= 0.0 {
-            return Err(StoreError::BadConfig(
-                "open-loop offered load must be positive and finite".into(),
-            ));
-        }
-        let mut rng = StdRng::seed_from_u64(load.seed);
-        let mut at = self.now;
+        load.validate("open-loop offered load")?;
         let stream: VecDeque<StoreRequest> = ops
             .into_iter()
+            .zip(load.arrivals(self.now))
             .enumerate()
-            .map(|(index, op)| {
-                let unit: f64 = rng.gen_range(1e-12..1.0);
-                at += SimDuration::from_secs_f64(-unit.ln() / load.ops_per_sec);
-                StoreRequest {
-                    client: ClientId(index as u32),
-                    op,
-                    arrival: at,
-                }
+            .map(|(index, (op, arrival))| StoreRequest {
+                client: ClientId(index as u32),
+                op,
+                arrival,
             })
             .collect();
         self.run_stream(stream)

@@ -2,12 +2,12 @@
 //!
 //! The paper's applications "make use of simple get/put storage primitives"
 //! (Section 4): allocate an object, read it, replace it atomically with a safe
-//! write, delete it.  [`ObjectStore`] is that interface; the two
-//! implementations ([`crate::FsObjectStore`] and [`crate::DbObjectStore`])
-//! wrap the filesystem and database simulators and charge every operation to
-//! a simulated disk plus a host-side [`CostModel`], so that throughput can be
-//! measured exactly the way the paper measures it: bytes moved divided by the
-//! time the storage system needed.
+//! write, delete it.  [`ObjectStore`] is that interface; one store shell
+//! (`shell.rs`) implements it over the filesystem, database and segment-log
+//! simulators and charges every operation to a simulated disk plus a
+//! host-side [`CostModel`], so that throughput can be measured exactly the
+//! way the paper measures it: bytes moved divided by the time the storage
+//! system needed.
 
 use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_disksim::{ByteRun, ServiceTime, SimDuration};
@@ -191,11 +191,12 @@ pub trait ObjectStore: Send {
     ///
     /// Which operations form a batch is decided in exactly one place — the
     /// request scheduler ([`crate::StoreServer`]) groups the safe writes
-    /// that are queued together when the spindle frees up — so both
-    /// substrates share one batching path and only implement the interleaved
-    /// allocation itself.  (There is deliberately no sequential fallback
-    /// implementation: a batch that did not interleave would silently
-    /// under-report fragmentation.)
+    /// that are queued together when the spindle frees up — so every
+    /// substrate shares one batching path and only implements the
+    /// interleaved allocation itself.  (The filesystem and the database have
+    /// deliberately no sequential fallback: a batch that did not interleave
+    /// would silently under-report fragmentation.  The segment log
+    /// serializes appends, so its batch is the items' safe writes in order.)
     fn safe_write_batch(&mut self, items: &[(String, u64)]) -> Result<Vec<OpReceipt>, StoreError>;
 
     /// Deletes the object stored under `key`.

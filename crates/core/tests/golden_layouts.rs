@@ -1,17 +1,26 @@
-//! Golden layout digests of seeded database aging runs.
+//! Golden digests of seeded aging runs on all three substrates.
 //!
-//! Each case bulk-loads and ages a database store through the request
-//! scheduler exactly as `age_store` does, then folds every key's physical
-//! layout (`layout_of`), the `fragmentation()` summary and the engine's
-//! ghost backlog into one FNV-1a digest.  Placement is the simulated result,
-//! so these digests must survive any change to how the engine represents
-//! layouts, free space or the ghost backlog: a change that moves a single
-//! page is a behaviour change and has to be explained as one.
+//! Each case bulk-loads and ages a store through the request scheduler
+//! exactly as `age_store` does, then folds two things into FNV-1a digests:
+//!
+//! * **layout** — every key's physical layout (`layout_of`), the
+//!   `fragmentation()` summary and the substrate's reclamation backlog (the
+//!   database's ghost pages, the filesystem's pending-free clusters, the
+//!   log's dead bytes).  Placement is the simulated result, so these digests
+//!   must survive any change to how a substrate represents layouts or free
+//!   space: a change that moves a single page is a behaviour change and has
+//!   to be explained as one.
+//! * **cost** — the store's accounting: `elapsed()`, the disk's request
+//!   count, the maintenance scheduler's ticks, background bytes and
+//!   background time, and finally the bytes and clock charge of one full
+//!   `maintenance()` pass.  This pins the get/put shell that turns substrate
+//!   runs into disk requests, host time and maintenance interference.
 
 use lor_core::lor_disksim::SimDuration;
 use lor_core::{
-    DbObjectStore, DbStoreConfig, ExperimentConfig, MaintenanceConfig, ObjectStore,
-    SizeDistribution, StoreServer, WorkloadGenerator,
+    DbObjectStore, DbStoreConfig, ExperimentConfig, FsObjectStore, FsStoreConfig, LogObjectStore,
+    LogStoreConfig, MaintenanceConfig, ObjectStore, SizeDistribution, StoreServer,
+    WorkloadGenerator,
 };
 
 const MB: u64 = 1 << 20;
@@ -36,16 +45,8 @@ impl Fnv {
     }
 }
 
-/// Builds the database store `ExperimentConfig::build_store` would, bulk
-/// loads it and ages it `rounds` overwrite rounds.
-fn aged_db(config: &ExperimentConfig, rounds: u32) -> DbObjectStore {
-    let mut store_config = DbStoreConfig::new(config.volume_bytes);
-    store_config.write_request_size = config.write_request_size;
-    store_config.cost = config.cost;
-    store_config.engine.allocation_policy = config.allocation_policy;
-    store_config.engine.placement = config.placement;
-    store_config.maintenance = config.maintenance;
-    let mut store = DbObjectStore::with_config(store_config).expect("store builds");
+/// Bulk loads `store` and ages it `rounds` overwrite rounds.
+fn age<S: ObjectStore>(mut store: S, config: &ExperimentConfig, rounds: u32) -> S {
     let mut generator = WorkloadGenerator::new(config.workload());
     let mut server = StoreServer::new(&mut store);
     server
@@ -63,9 +64,53 @@ fn aged_db(config: &ExperimentConfig, rounds: u32) -> DbObjectStore {
     store
 }
 
+/// The database store `ExperimentConfig::build_store` would build, aged.
+fn aged_db(config: &ExperimentConfig, rounds: u32) -> DbObjectStore {
+    let mut store_config = DbStoreConfig::new(config.volume_bytes);
+    store_config.write_request_size = config.write_request_size;
+    store_config.cost = config.cost;
+    store_config.engine.allocation_policy = config.allocation_policy;
+    store_config.engine.placement = config.placement;
+    store_config.maintenance = config.maintenance;
+    age(
+        DbObjectStore::with_config(store_config).expect("store builds"),
+        config,
+        rounds,
+    )
+}
+
+/// The filesystem store `ExperimentConfig::build_store` would build, aged.
+fn aged_fs(config: &ExperimentConfig, rounds: u32) -> FsObjectStore {
+    let mut store_config = FsStoreConfig::new(config.volume_bytes);
+    store_config.write_request_size = config.write_request_size;
+    store_config.cost = config.cost;
+    store_config.volume.allocation_policy = config.allocation_policy;
+    store_config.volume.placement = config.placement;
+    store_config.maintenance = config.maintenance;
+    age(
+        FsObjectStore::with_config(store_config).expect("store builds"),
+        config,
+        rounds,
+    )
+}
+
+/// The segment-log store `ExperimentConfig::build_store` would build, aged.
+fn aged_log(config: &ExperimentConfig, rounds: u32) -> LogObjectStore {
+    let mut store_config = LogStoreConfig::new(config.volume_bytes);
+    store_config.write_request_size = config.write_request_size;
+    store_config.cost = config.cost;
+    store_config.log.placement = config.placement;
+    store_config.maintenance = config.maintenance;
+    age(
+        LogObjectStore::with_config(store_config).expect("store builds"),
+        config,
+        rounds,
+    )
+}
+
 /// Digest of every key's layout (in key order), the fragmentation summary
-/// and the ghost backlog.
-fn digest(store: &DbObjectStore) -> u64 {
+/// and the substrate's reclamation `backlog`.
+fn layout_digest(store: &impl ObjectStore, backlog: u64) -> u64 {
     let mut hash = Fnv::new();
     let mut keys = store.keys();
     keys.sort();
@@ -86,7 +131,28 @@ fn digest(store: &DbObjectStore) -> u64 {
     hash.u64(summary.max_fragments);
     hash.u64(summary.median_fragments.to_bits());
     hash.u64(summary.contiguous_fraction.to_bits());
-    hash.u64(store.database().ghost_page_count());
+    hash.u64(backlog);
+    hash.0
+}
+
+/// Digest of the store's cost accounting (`disk_requests` is the disk's
+/// total request count), then of one full `maintenance()` pass: the bytes it
+/// copied and the clock it charged.
+fn cost_digest(store: &mut impl ObjectStore, disk_requests: u64) -> u64 {
+    let mut hash = Fnv::new();
+    hash.u64(store.elapsed().as_nanos());
+    hash.u64(disk_requests);
+    match store.maintenance_stats() {
+        Some(stats) => {
+            hash.u64(stats.ticks);
+            hash.u64(stats.background_bytes);
+            hash.u64(stats.background_time.as_nanos());
+        }
+        None => hash.u64(u64::MAX),
+    }
+    let before = store.elapsed();
+    hash.u64(store.maintenance().expect("full maintenance pass"));
+    hash.u64((store.elapsed() - before).as_nanos());
     hash.0
 }
 
@@ -103,31 +169,107 @@ fn config(
     config
 }
 
+/// 256 KB objects at 50% of 256 MB, six overwrite rounds.
+fn small_objects() -> ExperimentConfig {
+    config(256 * MB, 0.5, SizeDistribution::Constant(256 << 10), 301)
+}
+
+/// Uniform ~10 MB objects at 90% of 1 GB, two overwrite rounds.
+fn large_objects() -> ExperimentConfig {
+    config(1 << 30, 0.9, SizeDistribution::uniform_around(10 * MB), 302)
+}
+
+/// The small-object run under `fixed_budget(16)` store-attached maintenance:
+/// it drives each substrate's budgeted cleanup and incremental
+/// defragmentation (for the database, the tail-first ghost cleanup and the
+/// compactor, the two paths that split ghost runs and relocate blobs into
+/// several free runs).
+fn maintained_small_objects() -> ExperimentConfig {
+    let mut config = config(256 * MB, 0.5, SizeDistribution::Constant(256 << 10), 303);
+    config.maintenance = Some(MaintenanceConfig::fixed_budget(16));
+    config
+}
+
+fn check_db(mut store: DbObjectStore, layout: u64, cost: u64) {
+    let backlog = store.database().ghost_page_count();
+    assert_eq!(layout_digest(&store, backlog), layout);
+    let requests = store.disk().stats().total_requests();
+    assert_eq!(cost_digest(&mut store, requests), cost);
+}
+
+fn check_fs(mut store: FsObjectStore, layout: u64, cost: u64) {
+    let backlog = store.volume().pending_clusters();
+    assert_eq!(layout_digest(&store, backlog), layout);
+    let requests = store.disk().stats().total_requests();
+    assert_eq!(cost_digest(&mut store, requests), cost);
+}
+
+fn check_log(mut store: LogObjectStore, layout: u64, cost: u64) {
+    let backlog = store.log().dead_bytes();
+    assert_eq!(layout_digest(&store, backlog), layout);
+    let requests = store.disk().stats().total_requests();
+    assert_eq!(cost_digest(&mut store, requests), cost);
+}
+
 #[test]
 fn aged_256k_layouts_match_the_golden_digest() {
-    let config = config(256 * MB, 0.5, SizeDistribution::Constant(256 << 10), 301);
-    let store = aged_db(&config, 6);
+    let store = aged_db(&small_objects(), 6);
     assert!(store.fragmentation().fragments_per_object > 1.0);
-    assert_eq!(digest(&store), 15925602680353131215);
+    check_db(store, 15925602680353131215, 15806529380113296166);
 }
 
 #[test]
 fn aged_10m_layouts_match_the_golden_digest() {
-    let config = config(1 << 30, 0.9, SizeDistribution::uniform_around(10 * MB), 302);
-    let store = aged_db(&config, 2);
+    let store = aged_db(&large_objects(), 2);
     assert!(store.fragmentation().fragments_per_object > 1.0);
-    assert_eq!(digest(&store), 17622992921014093589);
+    check_db(store, 17622992921014093589, 9028601345903811433);
 }
 
-/// The maintained case drives the budgeted (tail-first) ghost cleanup and
-/// the incremental compactor, the two paths that split ghost runs and
-/// relocate blobs into several free runs.
 #[test]
 fn maintained_256k_layouts_match_the_golden_digest() {
-    let mut config = config(256 * MB, 0.5, SizeDistribution::Constant(256 << 10), 303);
-    config.maintenance = Some(MaintenanceConfig::fixed_budget(16));
-    let store = aged_db(&config, 6);
+    let store = aged_db(&maintained_small_objects(), 6);
     let maintenance = store.maintenance_stats().expect("maintained store");
     assert!(maintenance.ghost_cleanup.runs > 0 && maintenance.defrag.runs > 0);
-    assert_eq!(digest(&store), 1112974716001511110);
+    check_db(store, 1112974716001511110, 7161253066509186455);
+}
+
+#[test]
+fn fs_aged_256k_layouts_match_the_golden_digest() {
+    let store = aged_fs(&small_objects(), 6);
+    check_fs(store, 15801843409263610990, 17956993517643710365);
+}
+
+#[test]
+fn fs_aged_10m_layouts_match_the_golden_digest() {
+    let store = aged_fs(&large_objects(), 2);
+    assert!(store.fragmentation().fragments_per_object > 1.0);
+    check_fs(store, 15054327884381381401, 6811199607555829440);
+}
+
+#[test]
+fn fs_maintained_256k_layouts_match_the_golden_digest() {
+    let store = aged_fs(&maintained_small_objects(), 6);
+    let maintenance = store.maintenance_stats().expect("maintained store");
+    assert!(maintenance.checkpoint.runs > 0);
+    check_fs(store, 15430707051708007908, 11645972737092380615);
+}
+
+#[test]
+fn log_aged_256k_layouts_match_the_golden_digest() {
+    let store = aged_log(&small_objects(), 6);
+    check_log(store, 13752275042319563104, 8898706629443783386);
+}
+
+#[test]
+fn log_aged_10m_layouts_match_the_golden_digest() {
+    let store = aged_log(&large_objects(), 2);
+    check_log(store, 16323571624761541403, 4689153313588095976);
+}
+
+#[test]
+fn log_maintained_256k_layouts_match_the_golden_digest() {
+    let store = aged_log(&maintained_small_objects(), 6);
+    let maintenance = store.maintenance_stats().expect("maintained store");
+    assert!(maintenance.defrag.runs > 0);
+    check_log(store, 8152003286672485093, 17158831859961711563);
 }

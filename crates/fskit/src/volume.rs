@@ -458,7 +458,7 @@ impl Volume {
             ) {
                 Ok(extents) => extents,
                 Err(err) => {
-                    let _ = self.delete(id);
+                    self.discard(id);
                     return Err(FsError::from(err));
                 }
             };
@@ -557,7 +557,8 @@ impl Volume {
     /// Atomically replaces the contents of `name` with `size_bytes` of new
     /// data, using the safe-write protocol the paper describes: write a
     /// temporary file, force it to disk, then swap it in and delete the old
-    /// file.
+    /// file.  A refused write rolls the temporary file back
+    /// ([`Volume::discard`]) and leaves the old file in place.
     pub fn safe_write(
         &mut self,
         name: &str,
@@ -570,8 +571,7 @@ impl Volume {
         let receipt = match self.fill(temp_id, size_bytes, write_request_size) {
             Ok(receipt) => receipt,
             Err(err) => {
-                // Clean up the partially written temporary file.
-                let _ = self.delete(temp_id);
+                self.discard(temp_id);
                 return Err(err);
             }
         };
@@ -699,12 +699,12 @@ impl Volume {
         Ok(receipts)
     }
 
-    /// Deletes the temporary files of a failed [`Volume::safe_write_batch`],
-    /// releasing their names and (via the pending queue) their clusters.  The
-    /// target objects themselves were never touched.
+    /// Rolls back the temporary files of a failed
+    /// [`Volume::safe_write_batch`] ([`Volume::discard`]).  The target
+    /// objects themselves were never touched.
     fn abort_batch(&mut self, staged: &[(FileId, FileId, u64, Vec<ByteRun>, u64)]) {
         for (_, temp_id, _, _, _) in staged {
-            let _ = self.delete(*temp_id);
+            self.discard(*temp_id);
         }
     }
 
@@ -988,6 +988,57 @@ mod tests {
         volume
             .write_file_preallocated("too-big-too", 2 * MB, 64 * 1024)
             .unwrap();
+    }
+
+    #[test]
+    fn refused_replacements_and_ingests_leave_the_volume_unchanged() {
+        let mut config = VolumeConfig::new(16 * MB);
+        config.checkpoint_interval_ops = 1_000_000; // effectively manual
+        let mut volume = Volume::format(config).unwrap();
+        volume.write_file("resident", 4 * MB, 64 * 1024).unwrap();
+        volume.write_file("other", MB, 64 * 1024).unwrap();
+        let pending_before = volume.pending_clusters();
+        let deleted_before = volume.stats().bytes_deleted;
+        let ops_before = volume.ops_since_checkpoint;
+        let free_before = volume.free_space().free_clusters();
+        let unchanged = |volume: &Volume| {
+            assert_eq!(volume.pending_clusters(), pending_before);
+            assert_eq!(volume.stats().bytes_deleted, deleted_before);
+            assert_eq!(volume.ops_since_checkpoint, ops_before);
+            assert_eq!(volume.free_space().free_clusters(), free_before);
+            assert_eq!(volume.file_count(), 2);
+            assert_eq!(volume.fragmentation(), volume.fragmentation_rescan());
+        };
+
+        // The temporary file runs out of space part-way through.
+        assert!(volume.safe_write("resident", 12 * MB, 64 * 1024).is_err());
+        unchanged(&volume);
+        assert!(volume
+            .safe_write_batch(&[("resident", MB), ("other", 12 * MB)], 64 * 1024)
+            .is_err());
+        unchanged(&volume);
+        assert_eq!(
+            volume
+                .file(volume.lookup("resident").unwrap())
+                .unwrap()
+                .size_bytes,
+            4 * MB
+        );
+
+        // A banded ingest refused for lack of maintenance space.
+        let mut config = VolumeConfig::new(16 * MB);
+        config.placement = PlacementPolicy::banded(0.7);
+        let mut volume = Volume::format(config).unwrap();
+        volume.write_file("resident", MB, 64 * 1024).unwrap();
+        let deleted_before = volume.stats().bytes_deleted;
+        let ops_before = volume.ops_since_checkpoint;
+        let free_before = volume.free_space().free_clusters();
+        assert!(volume.ingest_as_maintenance("migrant", 12 * MB).is_err());
+        assert_eq!(volume.pending_clusters(), 0);
+        assert_eq!(volume.stats().bytes_deleted, deleted_before);
+        assert_eq!(volume.ops_since_checkpoint, ops_before);
+        assert_eq!(volume.free_space().free_clusters(), free_before);
+        assert!(volume.lookup("migrant").is_err());
     }
 
     #[test]
